@@ -810,9 +810,8 @@ func BenchmarkRunScale(b *testing.B) {
 // bench-smoke sentinel for the lint layer — the fixpoint and the interface
 // dispatch resolution are the superlinear risks as the tree grows, and one
 // archived iteration per CI run keeps their wall clock on the public
-// record. The escape-analysis gates (hotalloc, allocbudget) are excluded:
-// they shell out to `go build` and would measure the build cache, not the
-// analysis.
+// record. The escape-analysis gate (hotalloc) is excluded: it shells out
+// to `go build` and would measure the build cache, not the analysis.
 func BenchmarkLintModule(b *testing.B) {
 	root, err := filepath.Abs(".")
 	if err != nil {

@@ -4,12 +4,11 @@
 // clock in ringcast:deterministic packages), maporder (map iteration order
 // must not reach output unsorted), lockio (no blocking call while a sync
 // mutex is held), hotalloc (ringcast:hotpath functions must stay free of
-// compiler-reported heap escapes), and the interprocedural four built on the
-// module call graph — lockorder (cross-package lock-order cycles and
+// compiler-reported heap escapes), and the interprocedural three built on
+// the module call graph — lockorder (cross-package lock-order cycles and
 // transitive blocking under a mutex), goroleak (spawned goroutines need a
-// cancellation path), detflow (determinism taint through unmarked helper
-// packages), and allocbudget (per-hotpath escape counts ratcheted against
-// internal/lint/allocs.baseline). Findings print as file:line:col lines
+// cancellation path), and detflow (determinism taint through unmarked
+// helper packages). Findings print as file:line:col lines
 // (-json for structured output, -github for CI annotations) and a non-zero
 // exit fails CI; deliberate exceptions carry justified
 // `//lint:<analyzer> <why>` waivers in the source itself.
@@ -30,20 +29,13 @@ import (
 var analyzers = []*lint.Analyzer{lint.Detrand, lint.Maporder, lint.Lockio}
 
 // moduleAnalyzers is the interprocedural half, run over the whole-module
-// call graph; hotalloc and allocbudget run as separate compiler-driven
-// passes.
+// call graph; hotalloc runs as a separate compiler-driven pass.
 var moduleAnalyzers = []*lint.ModuleAnalyzer{lint.Lockorder, lint.Goroleak, lint.Detflow}
 
-// defaultBaseline is the checked-in allocation budget, relative to the
-// module root.
-const defaultBaseline = "internal/lint/allocs.baseline"
-
 func main() {
-	disable := flag.String("disable", "", "comma-separated analyzers to skip (detrand, maporder, lockio, hotalloc, lockorder, goroleak, detflow, allocbudget)")
+	disable := flag.String("disable", "", "comma-separated analyzers to skip (detrand, maporder, lockio, hotalloc, lockorder, goroleak, detflow)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations so findings land on the PR diff")
-	baseline := flag.String("baseline", defaultBaseline, "allocation-budget baseline file, relative to the module root")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the allocation-budget baseline from the current tree instead of checking it (the escape-count analogue of a golden-file -update)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -65,18 +57,6 @@ func main() {
 	pkgs, err := lint.Load(dir, patterns...)
 	if err != nil {
 		fatal(err)
-	}
-
-	baselinePath := *baseline
-	if !filepath.IsAbs(baselinePath) {
-		baselinePath = filepath.Join(dir, baselinePath)
-	}
-	if *updateBaseline {
-		if _, err := lint.AllocBudget(dir, pkgs, baselinePath, true); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ringcast-lint: wrote %s\n", *baseline)
-		return
 	}
 
 	var enabled []*lint.Analyzer
@@ -110,14 +90,6 @@ func main() {
 		}
 		extra = append(extra, hot...)
 		extraRan = append(extraRan, lint.HotallocName)
-	}
-	if !disabled[lint.AllocBudgetName] {
-		budget, err := lint.AllocBudget(dir, pkgs, baselinePath, false)
-		if err != nil {
-			fatal(err)
-		}
-		extra = append(extra, budget...)
-		extraRan = append(extraRan, lint.AllocBudgetName)
 	}
 
 	diags, err := lint.RunAnalyzers(pkgs, enabled, extra, extraRan...)
@@ -195,7 +167,6 @@ With no package patterns it checks ./... . Examples:
 
   ringcast-lint ./...
   ringcast-lint -json -disable hotalloc ./internal/...
-  ringcast-lint -update-baseline ./...
 
 Per-package analyzers:
 
@@ -211,14 +182,12 @@ Interprocedural analyzers (whole-module call graph with per-function facts):
 	for _, a := range moduleAnalyzers {
 		fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", lint.AllocBudgetName, lint.AllocBudgetDoc)
 	fmt.Fprintf(flag.CommandLine.Output(), `
 Markers and waivers (see ARCHITECTURE.md "Enforced contracts"):
 
   //ringcast:deterministic   package-scope marker: detrand and detflow apply
                              (one marked file covers the whole package)
-  //ringcast:hotpath         function marker: hotalloc forbids heap escapes,
-                             allocbudget ratchets their raw count
+  //ringcast:hotpath         function marker: hotalloc forbids heap escapes
   //lint:<analyzer> <why>    justified waiver on the finding's line or the
                              line above; an unjustified or unused waiver is
                              itself a finding

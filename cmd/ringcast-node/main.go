@@ -237,21 +237,21 @@ func run(args []string, in io.Reader, out io.Writer) error {
 
 	// The tunable-key store seeds from the flag values; the -config file
 	// (when given) then overrides at boot through the same two-phase apply
-	// the SIGHUP reload uses. The runtime below is built from the
-	// post-file values, so boot-time file config reaches even settings
-	// that only exist at construction.
+	// the SIGHUP reload uses, which already feeds the transport setters.
+	// The runtime below is built from the post-file values, so boot-time
+	// file config reaches even settings that only exist at construction.
 	cleanup := func() {
 		if agent != nil {
 			agent.Close()
 		}
 		base.Close()
 	}
-	store, err := buildStore(cfg)
+	tune := &tuner{tr: tr}
+	store, err := buildStore(cfg, tune)
 	if err != nil {
 		cleanup()
 		return err
 	}
-	defer store.Close()
 	if *cfgFile != "" {
 		if err := applyConfigFile(store, *cfgFile); err != nil {
 			cleanup()
@@ -262,18 +262,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	cfg.GossipInterval = store.Duration("gossip.interval")
 	cfg.Cyclon.ViewSize = int(store.Int("cyclon.view"))
 	cfg.Vicinity.ViewSize = int(store.Int("vicinity.view"))
-	if err := tr.SetSendQueueCap(int(store.Int("sendq.cap"))); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tr.SetMaxBatchBytes(int(store.Int("sendq.batch"))); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tr.SetWriterIdle(store.Duration("sendq.idle")); err != nil {
-		cleanup()
-		return err
-	}
 
 	rt, err := buildRuntime(cfg, base, *topics, *join, out, agent)
 	if err != nil {
@@ -281,9 +269,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	defer rt.close()
-	if err := bindStore(store, rt, tr, out); err != nil {
-		return err
-	}
+	tune.rt = rt
 
 	var msrv *telemetry.Server
 	if *metrics != "" {

@@ -1,17 +1,14 @@
 package main
 
-// Runtime tuning and observability wiring: the config.Store key catalog,
-// the -config JSON file source, the live bindings from accepted updates to
-// node and transport setters, and the /metrics telemetry registry. All of
-// it is cmd-layer glue — the store itself (internal/config) stays free of
-// file IO and signal handling, and the registry (internal/telemetry) knows
-// nothing about which counters a node exposes.
+// Runtime tuning and observability wiring: the config.Store key catalog
+// with the node and transport setters each key feeds, the -config JSON
+// file source, and the /metrics telemetry registry. All of it is cmd-layer
+// glue — the store itself (internal/config) stays free of file IO and
+// signal handling, and the registry (internal/telemetry) knows nothing
+// about which counters a node exposes.
 
 import (
-	"fmt"
-	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"ringcast/internal/config"
@@ -20,38 +17,60 @@ import (
 	"ringcast/internal/transport"
 )
 
+// tuner is what the tunable keys act on: the TCP transport from boot, and
+// the runtime once it is built. A commit before that (the boot-time -config
+// apply) reaches only the transport; the runtime is then built from the
+// post-file values.
+type tuner struct {
+	tr *transport.TCPTransport
+	rt *runtime
+}
+
+// eachNode fans a node setter out to every overlay of the runtime (a no-op
+// until the runtime exists).
+func eachNode[T any](t *tuner, set func(*node.Node, T) error) func(T) error {
+	return func(v T) error {
+		if t.rt == nil {
+			return nil
+		}
+		for _, nd := range t.rt.nodes() {
+			if err := set(nd, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // buildStore registers the runtime-tunable key catalog, seeded from the
-// node configuration the flags produced. Bounds mirror the setters they
-// feed (SetViewSizes rejects views below the layer's exchange length, so
-// the store rejects them upfront and the prior version stays current).
-func buildStore(cfg node.Config) (*config.Store, error) {
+// node configuration the flags produced. Each key names its type, bounds
+// and setter once; the store runs the setter on every accepted update
+// before the update returns. Bounds mirror the setters they feed
+// (SetViewSizes rejects views below the layer's exchange length, so the
+// store rejects them upfront and the prior version stays current).
+func buildStore(cfg node.Config, t *tuner) (*config.Store, error) {
 	s := config.NewStore()
 	defs := []config.Def{
-		{Name: "gossip.interval", Type: config.TypeDuration, Default: cfg.GossipInterval.String(),
-			Bounded: true, Min: float64(time.Millisecond), Max: float64(time.Hour),
-			Help: "gossip cycle length T; the timer re-arms immediately"},
-		{Name: "gossip.fanout", Type: config.TypeInt, Default: strconv.Itoa(cfg.Fanout),
-			Bounded: true, Min: 1, Max: 128,
-			Help: "dissemination fanout F; applies at the next cycle boundary"},
-		{Name: "cyclon.view", Type: config.TypeInt, Default: strconv.Itoa(cfg.Cyclon.ViewSize),
-			Bounded: true, Min: float64(cfg.Cyclon.ShuffleLen), Max: 1024,
-			Help: "CYCLON partial-view length; applies at the next cycle boundary"},
-		{Name: "vicinity.view", Type: config.TypeInt, Default: strconv.Itoa(cfg.Vicinity.ViewSize),
-			Bounded: true, Min: float64(cfg.Vicinity.GossipLen), Max: 1024,
-			Help: "VICINITY partial-view length; applies at the next cycle boundary"},
-		{Name: "sendq.cap", Type: config.TypeInt, Default: strconv.Itoa(transport.DefaultSendQueueCap),
-			Bounded: true, Min: 1, Max: 1 << 20,
-			Help: "per-destination send queue capacity, frames"},
-		{Name: "sendq.batch", Type: config.TypeInt, Default: strconv.Itoa(transport.DefaultMaxBatchBytes),
-			Bounded: true, Min: 1, Max: 1 << 30,
-			Help: "writer batch cap, bytes per write call"},
-		{Name: "sendq.idle", Type: config.TypeDuration, Default: transport.DefaultWriterIdle.String(),
-			Bounded: true, Min: float64(time.Millisecond), Max: float64(time.Hour),
-			Help: "writer idle linger before connection teardown"},
+		// Gossip cycle length T; the timer re-arms immediately.
+		config.DurationKey("gossip.interval", cfg.GossipInterval, time.Millisecond, time.Hour,
+			eachNode(t, (*node.Node).SetGossipInterval)),
+		// Dissemination fanout F; applies at the next cycle boundary.
+		config.IntKey("gossip.fanout", cfg.Fanout, 1, 128, eachNode(t, (*node.Node).SetFanout)),
+		// CYCLON and VICINITY partial-view lengths; apply at the next cycle boundary.
+		config.IntKey("cyclon.view", cfg.Cyclon.ViewSize, cfg.Cyclon.ShuffleLen, 1024,
+			eachNode(t, func(nd *node.Node, v int) error { return nd.SetViewSizes(v, 0) })),
+		config.IntKey("vicinity.view", cfg.Vicinity.ViewSize, cfg.Vicinity.GossipLen, 1024,
+			eachNode(t, func(nd *node.Node, v int) error { return nd.SetViewSizes(0, v) })),
+		// Per-destination send queue capacity, frames.
+		config.IntKey("sendq.cap", transport.DefaultSendQueueCap, 1, 1<<20, t.tr.SetSendQueueCap),
+		// Writer batch cap, bytes per write call.
+		config.IntKey("sendq.batch", transport.DefaultMaxBatchBytes, 1, 1<<30, t.tr.SetMaxBatchBytes),
+		// Writer idle linger before connection teardown.
+		config.DurationKey("sendq.idle", transport.DefaultWriterIdle, time.Millisecond, time.Hour,
+			t.tr.SetWriterIdle),
 	}
 	for _, d := range defs {
 		if err := s.Register(d); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
@@ -68,90 +87,6 @@ func applyConfigFile(s *config.Store, path string) error {
 	}
 	_, err = s.ApplyJSON(data)
 	return err
-}
-
-// bindStore subscribes the runtime to every tunable key, translating
-// accepted store updates into the node and transport setters. The initial
-// snapshot each subscription delivers re-applies the current value, which
-// is idempotent by construction. Setter rejections (a view shrunk below
-// its exchange length between validation and delivery cannot happen — the
-// bounds match — but the plumbing reports them anyway) are logged, never
-// fatal: the store has already committed, and the next update supersedes.
-func bindStore(s *config.Store, rt *runtime, tr *transport.TCPTransport, out io.Writer) error {
-	complain := func(key string, err error) {
-		if err != nil {
-			fmt.Fprintf(out, "[config] %s: %v\n", key, err)
-		}
-	}
-	eachNode := func(fn func(*node.Node) error) error {
-		for _, nd := range rt.nodes() {
-			if err := fn(nd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	bindings := []struct {
-		key string
-		fn  func(config.Update) error
-	}{
-		{"gossip.interval", func(u config.Update) error {
-			d, err := time.ParseDuration(u.Value)
-			if err != nil {
-				return err
-			}
-			return eachNode(func(nd *node.Node) error { return nd.SetGossipInterval(d) })
-		}},
-		{"gossip.fanout", func(u config.Update) error {
-			f, err := strconv.Atoi(u.Value)
-			if err != nil {
-				return err
-			}
-			return eachNode(func(nd *node.Node) error { return nd.SetFanout(f) })
-		}},
-		{"cyclon.view", func(u config.Update) error {
-			v, err := strconv.Atoi(u.Value)
-			if err != nil {
-				return err
-			}
-			return eachNode(func(nd *node.Node) error { return nd.SetViewSizes(v, 0) })
-		}},
-		{"vicinity.view", func(u config.Update) error {
-			v, err := strconv.Atoi(u.Value)
-			if err != nil {
-				return err
-			}
-			return eachNode(func(nd *node.Node) error { return nd.SetViewSizes(0, v) })
-		}},
-		{"sendq.cap", func(u config.Update) error {
-			n, err := strconv.Atoi(u.Value)
-			if err != nil {
-				return err
-			}
-			return tr.SetSendQueueCap(n)
-		}},
-		{"sendq.batch", func(u config.Update) error {
-			n, err := strconv.Atoi(u.Value)
-			if err != nil {
-				return err
-			}
-			return tr.SetMaxBatchBytes(n)
-		}},
-		{"sendq.idle", func(u config.Update) error {
-			d, err := time.ParseDuration(u.Value)
-			if err != nil {
-				return err
-			}
-			return tr.SetWriterIdle(d)
-		}},
-	}
-	for _, b := range bindings {
-		b := b
-		if _, err := s.Notify(b.key, func(u config.Update) { complain(b.key, b.fn(u)) }); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // buildRegistry wires the node's counters and the config store's current

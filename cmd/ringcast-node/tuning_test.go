@@ -1,0 +1,194 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"ringcast/internal/node"
+	"ringcast/internal/soak"
+	"ringcast/internal/transport"
+)
+
+// scrape fetches the node's /metrics page once.
+func scrape(t *testing.T, addr string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// wantSeries asserts that the page carries each "name value" line.
+func wantSeries(t *testing.T, page string, lines ...string) {
+	t.Helper()
+	for _, line := range lines {
+		if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(line) + `$`).MatchString(page) {
+			t.Errorf("metrics page lacks %q:\n%s", line, page)
+		}
+	}
+}
+
+// TestControlSetRetunesLiveNode drives the store-to-setter binding end to
+// end: a -config file at boot (with an integer at the sendq.cap maximum),
+// a control-protocol set, and a single /metrics scrape right after the set
+// replies — no polling, because the set returns only once the node has
+// applied the value. An out-of-range set must leave the node untouched.
+func TestControlSetRetunesLiveNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP test skipped in -short mode")
+	}
+	cfgPath := filepath.Join(t.TempDir(), "tuning.json")
+	if err := os.WriteFile(cfgPath, []byte(`{"sendq.cap": 1048576}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-listen", "127.0.0.1:0", "-status", "0", "-config", cfgPath,
+			"-control", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
+		}, strings.NewReader(""), &out)
+	}()
+	deadline := time.After(15 * time.Second)
+	for !strings.Contains(out.String(), "SOAK ready") {
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before ready: %v\n%s", err, out.String())
+		case <-deadline:
+			t.Fatalf("timed out waiting for SOAK ready:\n%s", out.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	m := regexp.MustCompile(`control=(\S+) .* metrics=(\S+)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no control/metrics address in output:\n%s", out.String())
+	}
+	c, err := soak.DialControl(m[1], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := c.SetParam("gossip.interval", "50ms"); err != nil {
+		t.Fatal(err)
+	}
+	// Version 1 is the boot-time file apply, version 2 the set.
+	applied := []string{
+		"ringcast_config_gossip_interval_seconds 0.05",
+		"ringcast_config_version 2",
+		"ringcast_config_send_queue_cap 1.048576e+06",
+	}
+	wantSeries(t, scrape(t, m[2]), applied...)
+
+	if err := c.SetParam("gossip.interval", "2h"); err == nil {
+		t.Fatal("out-of-range gossip.interval accepted")
+	}
+	wantSeries(t, scrape(t, m[2]), applied...)
+	if v, ver, err := c.GetParam("gossip.interval"); err != nil || v != "50ms" || ver != 2 {
+		t.Fatalf("get gossip.interval = %q @%d (%v), want 50ms @2", v, ver, err)
+	}
+
+	if err := c.Quit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not exit on control quit")
+	}
+}
+
+// FuzzApplyJSON feeds arbitrary config files to the real key catalog. It
+// must never panic; a rejected document must leave the version and every
+// value unchanged; an accepted one must leave every key it names at that
+// value's canonical form, and Set must accept the canonical form back
+// unchanged.
+func FuzzApplyJSON(f *testing.F) {
+	tr, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { tr.Close() })
+	for _, seed := range []string{
+		`{"sendq.batch": 1048576}`,
+		`{"sendq.cap": 1048576, "gossip.interval": "50ms", "cyclon.view": 20}`,
+		`{"gossip.fanout": {"a": 1}}`,
+		`{"gossip.fanout": null}`,
+		`{"mystery": 1}`,
+		`{"sendq.idle": "1m30s", "sendq.idle": "2s"}`,
+		`{"vicinity.view": 1e1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	durations := map[string]bool{"gossip.interval": true, "sendq.idle": true}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := buildStore(node.DefaultConfig(), &tuner{tr: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Snapshot()
+		v, err := s.ApplyJSON(data)
+		after := s.Snapshot()
+		if err != nil {
+			if v != before.Version || !reflect.DeepEqual(before, after) {
+				t.Fatalf("rejected document changed the store: %v\nbefore %v\nafter  %v @%d", err, before, after, v)
+			}
+			return
+		}
+		var doc map[string]any
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("accepted a document that does not decode: %v", err)
+		}
+		if want := before.Version + uint64(len(doc)); v != want || after.Version != want {
+			t.Fatalf("version = %d, want %d (one per key)", after.Version, want)
+		}
+		for k, raw := range doc {
+			lit := fmt.Sprint(raw)
+			var want string
+			if durations[k] {
+				d, err := time.ParseDuration(lit)
+				if err != nil {
+					t.Fatalf("%s: accepted %q: %v", k, lit, err)
+				}
+				want = d.String()
+			} else {
+				n, err := strconv.ParseInt(lit, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: accepted %q: %v", k, lit, err)
+				}
+				want = strconv.FormatInt(n, 10)
+			}
+			if after.Values[k] != want {
+				t.Fatalf("%s = %q after applying %q, want %q", k, after.Values[k], lit, want)
+			}
+			if _, err := s.Set(k, want); err != nil {
+				t.Fatalf("canonical %s=%q does not round-trip through Set: %v", k, want, err)
+			}
+			if got := s.Snapshot().Values[k]; got != want {
+				t.Fatalf("Set(%s, %q) stored %q", k, want, got)
+			}
+		}
+	})
+}

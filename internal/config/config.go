@@ -1,99 +1,77 @@
-// Package config is the hot-reconfiguration engine: a typed, watchable
+// Package config is the hot-reconfiguration engine: a typed, versioned
 // key/value store that lets every protocol parameter the paper sweeps
 // (fanout F, view sizes, the gossip period T of Section 6) and every
 // operational knob layered on since (send-queue caps, batch bytes, writer
-// idle) be re-tuned on a live node without a restart. The store is
-// deterministic by construction: versions are assigned by a seedless
-// monotonic counter under one mutex, no wall clock or randomness is
-// consulted anywhere, and watchers observe each key's accepted updates in
-// exact version order — so a given sequence of Set calls produces an
-// identical update stream on every run.
-//
-// Sources layer on top: command-line flags seed the registered defaults at
-// boot, the soak control protocol's set/get verbs call Set at runtime, and
-// a JSON file is re-applied (two-phase: validate everything, then commit)
-// on SIGHUP. Validation hooks run per key; a rejected Set leaves the store
-// at its prior version with no watcher notified.
+// idle) be re-tuned on a live node without a restart. Each key is a bounded
+// int or duration carrying the setter its values feed. Commits are
+// synchronous: Set and ApplyJSON run each changed key's setter, in commit
+// order, before they return. Versions come from a seedless counter and no
+// clock or randomness is consulted, so a given sequence of Sets produces
+// the same sequence of setter calls on every run.
 //
 //ringcast:deterministic
 package config
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// Type enumerates the value types a key can be registered with.
-type Type int
-
-// Registered key types. The canonical string form stored for each type is
-// the one its formatter produces (strconv / time.Duration.String), so Get
-// always returns a string the matching parser round-trips exactly.
-const (
-	// TypeString stores the raw string unmodified.
-	TypeString Type = iota
-	// TypeInt stores a base-10 signed integer.
-	TypeInt
-	// TypeFloat stores a float64 in strconv 'g' form.
-	TypeFloat
-	// TypeBool stores "true" or "false".
-	TypeBool
-	// TypeDuration stores a time.Duration in its String() form.
-	TypeDuration
-)
-
-// String names the type for error messages.
-func (t Type) String() string {
-	switch t {
-	case TypeString:
-		return "string"
-	case TypeInt:
-		return "int"
-	case TypeFloat:
-		return "float"
-	case TypeBool:
-		return "bool"
-	case TypeDuration:
-		return "duration"
-	default:
-		return fmt.Sprintf("type(%d)", int(t))
-	}
-}
-
-// Def registers one key: its type, default, optional numeric bounds and an
-// optional custom validation hook.
+// Def defines one key: its name, type, default, inclusive bounds and the
+// setter its committed values feed. Build one with IntKey or DurationKey.
 type Def struct {
-	// Name is the key ("gossip.interval", "sendq.cap", ...).
-	Name string
-	// Type selects parsing, canonicalization and range semantics.
-	Type Type
-	// Default is the initial value, validated at Register time.
-	Default string
-	// Bounded enables the [Min, Max] range check for numeric types
-	// (TypeInt, TypeFloat, TypeDuration — durations compare in nanoseconds).
-	Bounded  bool
-	Min, Max float64
-	// Check, when non-nil, runs after type and range validation with the
-	// canonical value; a non-nil error rejects the Set.
-	Check func(canonical string) error
-	// Help is a one-line description for catalogs and usage text.
-	Help string
+	name          string
+	dur           bool // a time.Duration, held in nanoseconds
+	def, min, max int64
+	set           func(int64) error
 }
 
-// Update is one accepted change delivered to watchers of a key.
-type Update struct {
-	// Key is the updated key.
-	Key string
-	// Value is the canonical value after the update.
-	Value string
-	// Version is the store version at which this value was committed. The
-	// initial snapshot delivered on Watch carries the version current at
-	// subscribe time.
-	Version uint64
+// IntKey defines an integer key with default def, accepted range
+// [min, max], and set, which receives every committed value.
+func IntKey(name string, def, min, max int, set func(int) error) Def {
+	return Def{name: name, def: int64(def), min: int64(min), max: int64(max),
+		set: func(v int64) error { return set(int(v)) }}
+}
+
+// DurationKey defines a duration key with default def, accepted range
+// [min, max], and set, which receives every committed value.
+func DurationKey(name string, def, min, max time.Duration, set func(time.Duration) error) Def {
+	return Def{name: name, dur: true, def: int64(def), min: int64(min), max: int64(max),
+		set: func(v int64) error { return set(time.Duration(v)) }}
+}
+
+// parse validates raw against the key's type and bounds.
+func (d Def) parse(raw string) (int64, error) {
+	v, err := strconv.ParseInt(raw, 10, 64)
+	kind := "an int"
+	if d.dur {
+		var x time.Duration
+		x, err = time.ParseDuration(raw)
+		v, kind = int64(x), "a duration"
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%q is not %s", raw, kind)
+	}
+	if v < d.min || v > d.max {
+		return 0, fmt.Errorf("%s out of range [%s, %s]", d.format(v), d.format(d.min), d.format(d.max))
+	}
+	return v, nil
+}
+
+// format renders v in the key's canonical form (strconv for ints,
+// time.Duration.String for durations); parse round-trips it exactly.
+func (d Def) format(v int64) string {
+	if d.dur {
+		return time.Duration(v).String()
+	}
+	return strconv.FormatInt(v, 10)
 }
 
 // Snapshot is a consistent copy of the whole store at one version.
@@ -104,177 +82,81 @@ type Snapshot struct {
 	Values map[string]string
 }
 
-// Store errors.
-var (
-	// ErrClosed is returned by operations on a closed store.
-	ErrClosed = errors.New("config: store closed")
-	// ErrUnknownKey is returned for keys that were never registered.
-	ErrUnknownKey = errors.New("config: unknown key")
-)
+// ErrUnknownKey is returned for keys that were never registered.
+var ErrUnknownKey = errors.New("config: unknown key")
 
-// Store is a versioned, watchable key/value store. All methods are safe for
-// concurrent use. Create with NewStore, define keys with Register, mutate
-// with Set, observe with Watch.
+// Store is a versioned key/value store. All methods are safe for concurrent
+// use. Writers (Set, ApplyJSON) hold writer through their setter calls, so
+// setters run one at a time in commit order; mu guards the values and is
+// never held across a setter, so a setter may read the store (but a setter
+// that writes to it deadlocks). Register holds both, so either one guards
+// a read of defs.
 type Store struct {
+	writer  sync.Mutex
 	mu      sync.Mutex
 	defs    map[string]Def
-	vals    map[string]string
+	vals    map[string]int64
 	version uint64
-	subs    map[string][]*Sub
-	closed  bool
 }
 
 // NewStore returns an empty store at version 0.
 func NewStore() *Store {
-	return &Store{
-		defs: make(map[string]Def),
-		vals: make(map[string]string),
-		subs: make(map[string][]*Sub),
-	}
+	return &Store{defs: make(map[string]Def), vals: make(map[string]int64)}
 }
 
-// Register defines a key. The default is validated like any Set but does
-// not bump the version or notify anyone (nothing can be watching an
-// unregistered key). Re-registering a name is an error.
+// Register defines a key. The default must lie within the bounds; it does
+// not bump the version or call the setter (the runtime starts from the same
+// default). Re-registering a name is an error.
 func (s *Store) Register(d Def) error {
-	if d.Name == "" {
+	if d.name == "" {
 		return errors.New("config: empty key name")
 	}
-	canonical, err := canonicalize(d, d.Default)
-	if err != nil {
-		return fmt.Errorf("config: default for %s: %w", d.Name, err)
+	if _, err := d.parse(d.format(d.def)); err != nil {
+		return fmt.Errorf("config: default for %s: %w", d.name, err)
 	}
+	s.writer.Lock()
+	defer s.writer.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if _, dup := s.defs[d.name]; dup {
+		return fmt.Errorf("config: key %s already registered", d.name)
 	}
-	if _, dup := s.defs[d.Name]; dup {
-		return fmt.Errorf("config: key %s already registered", d.Name)
-	}
-	s.defs[d.Name] = d
-	s.vals[d.Name] = canonical
+	s.defs[d.name] = d
+	s.vals[d.name] = d.def
 	return nil
 }
 
-// MustRegister is Register for static catalogs; it panics on error.
-func (s *Store) MustRegister(d Def) {
-	if err := s.Register(d); err != nil {
-		panic(err)
-	}
-}
-
-// canonicalize validates raw against the def and returns the canonical
-// string form. It holds no locks and consults no clocks.
-func canonicalize(d Def, raw string) (string, error) {
-	var canonical string
-	var num float64
-	switch d.Type {
-	case TypeString:
-		canonical = raw
-	case TypeInt:
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return "", fmt.Errorf("%q is not an int", raw)
-		}
-		canonical, num = strconv.FormatInt(v, 10), float64(v)
-	case TypeFloat:
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return "", fmt.Errorf("%q is not a float", raw)
-		}
-		canonical, num = strconv.FormatFloat(v, 'g', -1, 64), v
-	case TypeBool:
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			return "", fmt.Errorf("%q is not a bool", raw)
-		}
-		canonical = strconv.FormatBool(v)
-	case TypeDuration:
-		v, err := time.ParseDuration(raw)
-		if err != nil {
-			return "", fmt.Errorf("%q is not a duration", raw)
-		}
-		canonical, num = v.String(), float64(v)
-	default:
-		return "", fmt.Errorf("unknown type %v", d.Type)
-	}
-	if d.Bounded && d.Type != TypeString && d.Type != TypeBool {
-		if num < d.Min || num > d.Max {
-			return "", fmt.Errorf("%s out of range [%s, %s]", canonical,
-				boundString(d.Type, d.Min), boundString(d.Type, d.Max))
-		}
-	}
-	if d.Check != nil {
-		if err := d.Check(canonical); err != nil {
-			return "", err
-		}
-	}
-	return canonical, nil
-}
-
-// boundString renders a numeric bound in the key's own unit for errors.
-func boundString(t Type, v float64) string {
-	if t == TypeDuration {
-		return time.Duration(v).String()
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Set validates raw against key's definition and, if accepted, commits the
-// canonical value at a fresh version and notifies the key's watchers in
-// version order. A rejected Set leaves the store version and value
-// untouched and notifies nobody. It returns the version the value was
-// committed at.
+// Set validates raw against key's definition and, if accepted, commits it
+// at a fresh version and runs the key's setter before returning. A rejected
+// Set changes nothing and calls no setter. It returns the store version
+// after the call. A setter error is returned too, but the value stays
+// committed: the store already accepted it, and the next Set supersedes.
 func (s *Store) Set(key, raw string) (uint64, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
+	s.writer.Lock()
+	defer s.writer.Unlock()
 	d, ok := s.defs[key]
 	if !ok {
-		v := s.version
-		s.mu.Unlock()
-		return v, fmt.Errorf("%w: %s", ErrUnknownKey, key)
+		return s.Version(), fmt.Errorf("%w: %s", ErrUnknownKey, key)
 	}
-	canonical, err := canonicalize(d, raw)
+	v, err := d.parse(raw)
 	if err != nil {
-		v := s.version
-		s.mu.Unlock()
-		return v, fmt.Errorf("config: set %s: %w", key, err)
+		return s.Version(), fmt.Errorf("config: set %s: %w", key, err)
 	}
-	s.version++
-	version := s.version
-	s.vals[key] = canonical
-	// Enqueue under s.mu so concurrent Sets notify in version order; the
-	// actual channel delivery happens on each sub's pump goroutine.
-	woken := s.enqueueLocked(key, Update{Key: key, Value: canonical, Version: version})
-	s.mu.Unlock()
-	for _, sub := range woken {
-		sub.wakeup()
-	}
-	return version, nil
+	err = s.apply(d, v)
+	return s.Version(), err
 }
 
-// enqueueLocked appends u to every subscriber of key and returns the subs
-// to wake after s.mu is released. Caller holds s.mu.
-func (s *Store) enqueueLocked(key string, u Update) []*Sub {
-	subs := s.subs[key]
-	for _, sub := range subs {
-		sub.qmu.Lock()
-		sub.queue = append(sub.queue, u)
-		sub.qmu.Unlock()
-	}
-	return subs
-}
-
-// Get returns key's canonical value.
-func (s *Store) Get(key string) (string, bool) {
+// apply stores v at the next version, then runs the key's setter with mu
+// released. Caller holds s.writer, which keeps setter calls in commit order.
+func (s *Store) apply(d Def, v int64) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.vals[key]
-	return v, ok
+	s.version++
+	s.vals[d.name] = v
+	s.mu.Unlock()
+	if err := d.set(v); err != nil {
+		return fmt.Errorf("config: apply %s: %w", d.name, err)
+	}
+	return nil
 }
 
 // Version returns the store version: the count of accepted Sets.
@@ -290,235 +172,77 @@ func (s *Store) Snapshot() Snapshot {
 	defer s.mu.Unlock()
 	vals := make(map[string]string, len(s.vals))
 	for k, v := range s.vals {
-		vals[k] = v
+		vals[k] = s.defs[k].format(v)
 	}
 	return Snapshot{Version: s.version, Values: vals}
 }
 
-// Keys returns the registered key names, sorted.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.defs))
-	for k := range s.defs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Defs returns the registered definitions in sorted name order, for key
-// catalogs and usage text.
-func (s *Store) Defs() []Def {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.defs))
-	for k := range s.defs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	out := make([]Def, 0, len(names))
-	for _, k := range names {
-		out = append(out, s.defs[k])
-	}
-	return out
-}
-
-// Int returns key's value as an integer (0 for unregistered keys). The
-// canonical form is validated at Set time, so the parse cannot fail.
+// Int returns key's value (in nanoseconds for a duration key; 0 for
+// unregistered keys).
 func (s *Store) Int(key string) int64 {
-	v, ok := s.Get(key)
-	if !ok {
-		return 0
-	}
-	n, _ := strconv.ParseInt(v, 10, 64)
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vals[key]
 }
 
 // Duration returns key's value as a time.Duration (0 for unregistered keys).
 func (s *Store) Duration(key string) time.Duration {
-	v, ok := s.Get(key)
-	if !ok {
-		return 0
-	}
-	d, _ := time.ParseDuration(v)
-	return d
+	return time.Duration(s.Int(key))
 }
 
-// Float returns key's value as a float64 (0 for unregistered keys).
-func (s *Store) Float(key string) float64 {
-	v, ok := s.Get(key)
-	if !ok {
-		return 0
+// ApplyJSON applies a -config file's bytes (file IO and SIGHUP stay in the
+// cmd layer): a flat JSON object of key -> value, each a string or a number
+// validated from its literal text. It is two-phase: every key is validated
+// first — an unknown key or a bad value rejects the whole document with the
+// store untouched — then all are committed in sorted key order, one version
+// and one setter call each. It returns the version after the last commit,
+// and any setter errors joined.
+func (s *Store) ApplyJSON(data []byte) (uint64, error) {
+	// UseNumber keeps each number's literal text: decoding into float64
+	// would reformat 1048576 as "1.048576e+06" and round integers past 2^53.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var doc map[string]any
+	err := dec.Decode(&doc)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the JSON value")
 	}
-	f, _ := strconv.ParseFloat(v, 64)
-	return f
-}
-
-// Bool returns key's value as a bool (false for unregistered keys).
-func (s *Store) Bool(key string) bool {
-	v, ok := s.Get(key)
-	if !ok {
-		return false
-	}
-	b, _ := strconv.ParseBool(v)
-	return b
-}
-
-// Watch subscribes to key. The subscription's channel first delivers the
-// key's current value (stamped with the version current at subscribe time),
-// then every accepted Set in version order, with no gaps and no reordering.
-// The channel closes when the subscription or the store closes. Callers
-// that fall behind do not block writers: updates queue without bound on the
-// subscription until its pump can deliver them.
-func (s *Store) Watch(key string) (*Sub, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	val, ok := s.vals[key]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownKey, key)
-	}
-	sub := &Sub{
-		store: s,
-		key:   key,
-		wake:  make(chan struct{}, 1),
-		out:   make(chan Update),
-		done:  make(chan struct{}),
-	}
-	sub.queue = append(sub.queue, Update{Key: key, Value: val, Version: s.version})
-	s.subs[key] = append(s.subs[key], sub)
-	s.mu.Unlock()
-	go sub.pump()
-	return sub, nil
-}
-
-// Notify is Watch plus a delivery goroutine: fn runs (on a dedicated
-// goroutine, one update at a time, in order) for the current value and
-// every subsequent accepted Set, until the subscription or store closes.
-// This is the binding helper live runtimes use to push re-tunes into node
-// and transport setters.
-func (s *Store) Notify(key string, fn func(Update)) (*Sub, error) {
-	sub, err := s.Watch(key)
+	s.writer.Lock()
+	defer s.writer.Unlock()
 	if err != nil {
-		return nil, err
+		return s.Version(), fmt.Errorf("config: parse: %w", err)
 	}
-	go func() {
-		// The range terminates when pump closes out (sub or store close),
-		// so this goroutine cannot outlive the subscription.
-		for u := range sub.out {
-			fn(u)
-		}
-	}()
-	return sub, nil
-}
-
-// Close closes the store: every subscription channel closes after draining
-// nothing further, and subsequent Sets and Watches fail with ErrClosed.
-func (s *Store) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	keys := make([]string, 0, len(s.subs))
-	for k := range s.subs {
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var all []*Sub
-	for _, k := range keys {
-		all = append(all, s.subs[k]...)
-	}
-	s.subs = make(map[string][]*Sub)
-	s.mu.Unlock()
-	for _, sub := range all {
-		sub.close()
-	}
-}
 
-// Sub is one Watch subscription. Close it when done; abandoned
-// subscriptions accumulate queued updates until the store closes.
-type Sub struct {
-	store *Store
-	key   string
-
-	qmu   sync.Mutex
-	queue []Update
-
-	wake chan struct{} // buffered(1): "queue went non-empty"
-	out  chan Update
-	done chan struct{}
-	once sync.Once
-}
-
-// C returns the ordered update channel. It closes when the subscription or
-// its store closes.
-func (sub *Sub) C() <-chan Update { return sub.out }
-
-// Key returns the watched key.
-func (sub *Sub) Key() string { return sub.key }
-
-// Close detaches the subscription from the store and closes its channel.
-// Safe to call multiple times and concurrently with deliveries.
-func (sub *Sub) Close() {
-	s := sub.store
-	s.mu.Lock()
-	subs := s.subs[sub.key]
-	for i, candidate := range subs {
-		if candidate == sub {
-			s.subs[sub.key] = append(subs[:i:i], subs[i+1:]...)
-			break
+	// Phase 1: validate the whole document before touching any value, so a
+	// bad reload cannot half-apply.
+	vals := make([]int64, len(keys))
+	for i, k := range keys {
+		d, ok := s.defs[k]
+		if !ok {
+			return s.Version(), fmt.Errorf("%w: %s", ErrUnknownKey, k)
+		}
+		var raw string
+		switch x := doc[k].(type) {
+		case string:
+			raw = x
+		case json.Number:
+			raw = x.String()
+		default:
+			return s.Version(), fmt.Errorf("config: key %s: value must be a JSON string or number", k)
+		}
+		if vals[i], err = d.parse(raw); err != nil {
+			return s.Version(), fmt.Errorf("config: key %s: %w", k, err)
 		}
 	}
-	s.mu.Unlock()
-	sub.close()
-}
-
-// close signals the pump to exit; the pump owns closing out.
-func (sub *Sub) close() {
-	sub.once.Do(func() { close(sub.done) })
-}
-
-// wakeup nudges the pump after new updates were queued. Non-blocking by
-// construction (buffered, capacity 1).
-func (sub *Sub) wakeup() {
-	select {
-	case sub.wake <- struct{}{}:
-	default:
+	// Phase 2: commit in sorted key order, one version per key.
+	var errs []error
+	for i, k := range keys {
+		errs = append(errs, s.apply(s.defs[k], vals[i]))
 	}
-}
-
-// pump delivers queued updates on out, in order, one at a time. It exits
-// (closing out) when the subscription closes. All channel operations happen
-// with no mutex held.
-func (sub *Sub) pump() {
-	defer close(sub.out)
-	for {
-		sub.qmu.Lock()
-		var u Update
-		have := len(sub.queue) > 0
-		if have {
-			u = sub.queue[0]
-			sub.queue = sub.queue[1:]
-		}
-		sub.qmu.Unlock()
-		if !have {
-			select {
-			case <-sub.wake:
-				continue
-			case <-sub.done:
-				return
-			}
-		}
-		select {
-		case sub.out <- u:
-		case <-sub.done:
-			return
-		}
-	}
+	return s.Version(), errors.Join(errs...)
 }

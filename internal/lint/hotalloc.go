@@ -54,9 +54,7 @@ func Hotalloc(dir string, pkgs []*Package) ([]Diagnostic, error) {
 }
 
 // escapeOutput runs compiler escape analysis over the module rooted at dir
-// and returns the raw -m diagnostics. The output replays from the build
-// cache, so the second caller in one lint run (hotalloc, then allocbudget)
-// pays nothing extra.
+// and returns the raw -m diagnostics.
 func escapeOutput(dir string) (string, error) {
 	modPath, err := modulePath(dir)
 	if err != nil {

@@ -9,15 +9,14 @@
 // — while a sync mutex is held; the exact bug class the async transport
 // rewrite fixed), and hotalloc (functions carrying the `ringcast:hotpath`
 // marker must stay free of heap escapes, checked against the compiler's own
-// -gcflags=-m escape analysis). Four interprocedural analyzers catch the
+// -gcflags=-m escape analysis). Three interprocedural analyzers catch the
 // same contracts violated *through a call*, using a module-wide call graph
 // and propagated per-function facts (callgraph.go, facts.go, module.go):
 // lockorder (cross-package lock-acquisition cycles — potential deadlock —
 // and transitive blocking under a lock), goroleak (goroutines that can park
-// forever on a channel with no reachable cancellation path), detflow
+// forever on a channel with no reachable cancellation path), and detflow
 // (deterministic packages reaching global rand or the wall clock through
-// unmarked helper packages), and allocbudget (per-hotpath-function escape
-// counts ratcheted against the checked-in allocs.baseline). The framework
+// unmarked helper packages). The framework
 // mirrors golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) but
 // is built on the standard library alone: packages load via
 // `go list -export` and typecheck against compiler export data, so the

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -103,86 +102,6 @@ func TestDetflowFixture(t *testing.T) {
 	linttest.RunModule(t, "testdata/src/detflow", lint.Detflow)
 }
 
-// TestAllocBudgetRoundTrip seeds a baseline from the escape fixture with
-// -update-baseline semantics and immediately re-checks against it: a
-// freshly-recorded tree must gate clean, and the file must carry one sorted
-// entry per marked function.
-func TestAllocBudgetRoundTrip(t *testing.T) {
-	dir, err := filepath.Abs("testdata/escape")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.Load(dir, ".")
-	if err != nil {
-		t.Fatalf("load escape fixture: %v", err)
-	}
-	baseline := filepath.Join(t.TempDir(), "allocs.baseline")
-	if _, err := lint.AllocBudget(dir, pkgs, baseline, true); err != nil {
-		t.Fatalf("update baseline: %v", err)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"escapefixture.Hot ", "escapefixture.HotClean ", "escapefixture.HotWaived "} {
-		if !strings.Contains(string(data), key) {
-			t.Errorf("baseline missing entry %q:\n%s", key, data)
-		}
-	}
-	diags, err := lint.AllocBudget(dir, pkgs, baseline, false)
-	if err != nil {
-		t.Fatalf("check against fresh baseline: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("fresh baseline must gate clean, got:\n%s", linttest.Describe(diags))
-	}
-}
-
-// TestAllocBudgetRegression checks the gate against a deliberately regressed
-// baseline: Hot's budget is below its real escape count (regression),
-// HotClean is absent (unrecorded marked function), a Gone entry names a
-// function that no longer exists (stale), and HotWaived's budget is generous
-// (decreases pass silently).
-func TestAllocBudgetRegression(t *testing.T) {
-	dir, err := filepath.Abs("testdata/escape")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.Load(dir, ".")
-	if err != nil {
-		t.Fatalf("load escape fixture: %v", err)
-	}
-	baseline := filepath.Join(t.TempDir(), "allocs.baseline")
-	regressed := "# handcrafted regressed baseline\n" +
-		"escapefixture.Gone 0\n" +
-		"escapefixture.Hot 0\n" +
-		"escapefixture.HotWaived 5\n"
-	if err := os.WriteFile(baseline, []byte(regressed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.AllocBudget(dir, pkgs, baseline, false)
-	if err != nil {
-		t.Fatalf("allocbudget: %v", err)
-	}
-	if len(diags) != 3 {
-		t.Fatalf("want 3 findings (regression, unrecorded, stale), got %d:\n%s",
-			len(diags), linttest.Describe(diags))
-	}
-	if !strings.Contains(diags[0].Message, "regression in escapefixture.Hot") ||
-		!strings.Contains(diags[0].Message, "baseline allows 0") {
-		t.Errorf("first finding should be Hot's regression, got: %s", diags[0])
-	}
-	if !strings.Contains(diags[1].Message, "escapefixture.HotClean has no allocation budget") {
-		t.Errorf("second finding should be HotClean's missing entry, got: %s", diags[1])
-	}
-	if !strings.Contains(diags[2].Message, "stale baseline entry escapefixture.Gone") {
-		t.Errorf("third finding should be the stale Gone entry, got: %s", diags[2])
-	}
-	if diags[2].Pos.Filename != baseline || diags[2].Pos.Line != 2 {
-		t.Errorf("stale finding should point into the baseline file at line 2, got %s", diags[2].Pos)
-	}
-}
-
 // TestRepoIsLintClean runs the full suite over the module, mirroring the CI
 // `ringcast-lint ./...` step inside `go test`: the tree must stay free of
 // unwaived findings.
@@ -221,14 +140,8 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hotalloc: %v", err)
 	}
-	budgetDiags, err := lint.AllocBudget(root, pkgs,
-		filepath.Join(root, "internal/lint/allocs.baseline"), false)
-	if err != nil {
-		t.Fatalf("allocbudget: %v", err)
-	}
 	extra = append(extra, hotDiags...)
-	extra = append(extra, budgetDiags...)
-	extraRan = append(extraRan, lint.HotallocName, lint.AllocBudgetName)
+	extraRan = append(extraRan, lint.HotallocName)
 	diags, err := lint.RunAnalyzers(pkgs,
 		[]*lint.Analyzer{lint.Detrand, lint.Maporder, lint.Lockio},
 		extra, extraRan...)
