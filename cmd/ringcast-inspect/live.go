@@ -10,11 +10,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"ringcast/internal/telemetry"
 )
 
 // liveUsage documents the subcommand (printed on -h and flag errors).
@@ -60,12 +60,11 @@ func runLive(args []string, out io.Writer) error {
 		}
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
 	for polls := 0; *count == 0 || polls < *count; polls++ {
 		if polls > 0 {
 			time.Sleep(*every)
 		}
-		vals, err := fetchSeries(client, addr)
+		vals, err := telemetry.Scrape(addr, 5*time.Second)
 		if err != nil {
 			fmt.Fprintf(out, "%s error: %v\n", time.Now().Format("15:04:05"), err)
 			continue
@@ -83,41 +82,9 @@ func runLive(args []string, out io.Writer) error {
 	return nil
 }
 
-// fetchSeries scrapes one exposition and returns every ringcast_ series,
-// keyed by name plus label signature.
-func fetchSeries(client *http.Client, addr string) (map[string]float64, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 || !strings.HasPrefix(line, "ringcast_") {
-			continue
-		}
-		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
-			out[line[:i]] = v
-		}
-	}
-	return out, nil
-}
-
 // sortedSeriesKeys returns the scrape's keys in sorted order (map-order
 // determinism for the printed line).
-func sortedSeriesKeys(m map[string]float64) []string {
+func sortedSeriesKeys(m telemetry.Series) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -41,7 +41,6 @@ func TestSingleNodePublishDeliversLocally(t *testing.T) {
 		done <- run([]string{
 			"-listen", "127.0.0.1:0",
 			"-interval", "10ms",
-			"-status", "0",
 		}, in, &out)
 	}()
 
@@ -72,7 +71,7 @@ func TestTwoNodeDissemination(t *testing.T) {
 	var outA syncBuffer
 	doneA := make(chan error, 1)
 	go func() {
-		doneA <- run([]string{"-listen", "127.0.0.1:0", "-interval", "10ms", "-status", "0"}, inA, &outA)
+		doneA <- run([]string{"-listen", "127.0.0.1:0", "-interval", "10ms"}, inA, &outA)
 	}()
 	waitFor(t, &outA, "listening on")
 	addrA := parseListenAddr(t, outA.String())
@@ -83,7 +82,7 @@ func TestTwoNodeDissemination(t *testing.T) {
 	go func() {
 		doneB <- run([]string{
 			"-listen", "127.0.0.1:0", "-join", addrA,
-			"-interval", "10ms", "-status", "0",
+			"-interval", "10ms",
 		}, inB, &outB)
 	}()
 	waitFor(t, &outB, "joined via")

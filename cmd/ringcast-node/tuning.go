@@ -13,27 +13,28 @@ import (
 
 	"ringcast/internal/config"
 	"ringcast/internal/node"
+	"ringcast/internal/pubsub"
 	"ringcast/internal/telemetry"
 	"ringcast/internal/transport"
 )
 
 // tuner is what the tunable keys act on: the TCP transport from boot, and
-// the runtime once it is built. A commit before that (the boot-time -config
-// apply) reaches only the transport; the runtime is then built from the
-// post-file values.
+// the pub/sub peer once it is built. A commit before that (the boot-time
+// -config apply) reaches only the transport; the peer is then built from
+// the post-file values.
 type tuner struct {
-	tr *transport.TCPTransport
-	rt *runtime
+	tr   *transport.TCPTransport
+	peer *pubsub.Peer
 }
 
-// eachNode fans a node setter out to every overlay of the runtime (a no-op
-// until the runtime exists).
+// eachNode fans a node setter out to every topic overlay of the peer (a
+// no-op until the peer exists).
 func eachNode[T any](t *tuner, set func(*node.Node, T) error) func(T) error {
 	return func(v T) error {
-		if t.rt == nil {
+		if t.peer == nil {
 			return nil
 		}
-		for _, nd := range t.rt.nodes() {
+		for _, nd := range topicNodes(t.peer) {
 			if err := set(nd, v); err != nil {
 				return err
 			}
@@ -89,18 +90,30 @@ func applyConfigFile(s *config.Store, path string) error {
 	return err
 }
 
-// buildRegistry wires the node's counters and the config store's current
-// state into a telemetry registry for the -metrics endpoint. Node counters
-// carry a topic label (the plain overlay publishes under topic "-"); the
-// ringcast_transport_* family is the base-socket aggregate; in pub/sub
-// mode ringcast_topic_* adds the per-topic mux attribution on top.
-func buildRegistry(rt *runtime, s *config.Store, epoch uint32) *telemetry.Registry {
+// buildRegistry wires the peer's counters and the config store's current
+// state into a telemetry registry for the -metrics endpoint — the node's
+// one counter surface. ringcast_node_* carries a topic label per overlay;
+// ringcast_transport_* is the base-socket aggregate and ringcast_topic_*
+// its per-topic mux attribution; ringcast_config_* mirrors every tunable
+// key.
+func buildRegistry(peer *pubsub.Peer, s *config.Store, epoch uint32) *telemetry.Registry {
 	r := telemetry.NewRegistry()
-	r.Describe("ringcast_node_published_total", telemetry.Counter, "messages published locally")
-	r.Describe("ringcast_node_delivered_total", telemetry.Counter, "messages delivered to the application")
-	r.Describe("ringcast_node_duplicates_total", telemetry.Counter, "duplicate receives suppressed by dedup")
-	r.Describe("ringcast_node_forwarded_total", telemetry.Counter, "dissemination forwards sent")
-	r.Describe("ringcast_node_send_errors_total", telemetry.Counter, "sends that failed or were rejected")
+	nodeFamilies := []struct {
+		name, help string
+		get        func(node.Stats) uint64
+	}{
+		{"ringcast_node_published_total", "messages published locally", func(st node.Stats) uint64 { return st.Published }},
+		{"ringcast_node_delivered_total", "messages delivered to the application", func(st node.Stats) uint64 { return st.Delivered }},
+		{"ringcast_node_duplicates_total", "duplicate receives suppressed by dedup", func(st node.Stats) uint64 { return st.Duplicates }},
+		{"ringcast_node_forwarded_total", "dissemination forwards sent", func(st node.Stats) uint64 { return st.Forwarded }},
+		{"ringcast_node_send_errors_total", "sends that failed or were rejected", func(st node.Stats) uint64 { return st.SendErrors }},
+		{"ringcast_node_queue_full_total", "forwards refused by local backpressure (peer kept)", func(st node.Stats) uint64 { return st.QueueFull }},
+		{"ringcast_node_shuffles_total", "CYCLON exchanges initiated", func(st node.Stats) uint64 { return st.Shuffles }},
+		{"ringcast_node_vic_exchanges_total", "VICINITY exchanges initiated", func(st node.Stats) uint64 { return st.VicExchanges }},
+	}
+	for _, f := range nodeFamilies {
+		r.Describe(f.name, telemetry.Counter, f.help)
+	}
 	r.Describe("ringcast_transport_frames_sent_total", telemetry.Counter, "frames handed to the wire, all overlays")
 	r.Describe("ringcast_transport_bytes_sent_total", telemetry.Counter, "marshalled bytes sent, all overlays")
 	r.Describe("ringcast_transport_drops_total", telemetry.Counter, "frames dropped by backpressure")
@@ -108,34 +121,44 @@ func buildRegistry(rt *runtime, s *config.Store, epoch uint32) *telemetry.Regist
 	r.Describe("ringcast_transport_dial_failures_total", telemetry.Counter, "outbound dials that failed")
 	r.Describe("ringcast_transport_queue_depth", telemetry.Gauge, "frames currently queued across writers")
 	r.Describe("ringcast_transport_writers", telemetry.Gauge, "live writer goroutines")
-	r.Describe("ringcast_topic_frames_sent_total", telemetry.Counter, "frames sent, attributed per topic (pub/sub)")
-	r.Describe("ringcast_topic_bytes_sent_total", telemetry.Counter, "bytes sent, attributed per topic (pub/sub)")
-	r.Describe("ringcast_topic_rejects_total", telemetry.Counter, "queue-full rejects, attributed per topic (pub/sub)")
+	r.Describe("ringcast_topic_frames_sent_total", telemetry.Counter, "frames sent, attributed per topic")
+	r.Describe("ringcast_topic_bytes_sent_total", telemetry.Counter, "bytes sent, attributed per topic")
+	r.Describe("ringcast_topic_rejects_total", telemetry.Counter, "queue-full rejects, attributed per topic")
 	r.Describe("ringcast_stray_frames_total", telemetry.Counter, "frames for unknown topics, dropped by the mux")
 	r.Describe("ringcast_config_version", telemetry.Gauge, "config store version, bumped per accepted Set")
 	r.Describe("ringcast_config_gossip_interval_seconds", telemetry.Gauge, "current gossip cycle length T")
 	r.Describe("ringcast_config_fanout", telemetry.Gauge, "current dissemination fanout F")
+	r.Describe("ringcast_config_cyclon_view", telemetry.Gauge, "current CYCLON view length")
+	r.Describe("ringcast_config_vicinity_view", telemetry.Gauge, "current VICINITY view length")
 	r.Describe("ringcast_config_send_queue_cap", telemetry.Gauge, "current per-destination send queue capacity")
+	r.Describe("ringcast_config_send_batch_bytes", telemetry.Gauge, "current writer batch cap, bytes per write")
+	r.Describe("ringcast_config_send_idle_seconds", telemetry.Gauge, "current writer idle linger before teardown")
 	r.Describe("ringcast_epoch", telemetry.Gauge, "incarnation epoch stamped into published message IDs")
 	r.Collect(func() []telemetry.Sample {
 		var out []telemetry.Sample
-		nds := rt.nodes()
-		for i, nd := range nds {
-			topic := "-"
-			if i < len(rt.topics) {
-				topic = rt.topics[i]
+		fanout, interval := 0, time.Duration(0)
+		for _, tp := range peer.Topics() {
+			nd, ok := peer.Node(tp)
+			if !ok {
+				continue
+			}
+			if fanout == 0 {
+				fanout, interval = nd.Fanout(), nd.GossipInterval()
 			}
 			st := nd.Stats()
-			lbl := map[string]string{"topic": topic}
-			out = append(out,
-				telemetry.Sample{Name: "ringcast_node_published_total", Labels: lbl, Value: float64(st.Published)},
-				telemetry.Sample{Name: "ringcast_node_delivered_total", Labels: lbl, Value: float64(st.Delivered)},
-				telemetry.Sample{Name: "ringcast_node_duplicates_total", Labels: lbl, Value: float64(st.Duplicates)},
-				telemetry.Sample{Name: "ringcast_node_forwarded_total", Labels: lbl, Value: float64(st.Forwarded)},
-				telemetry.Sample{Name: "ringcast_node_send_errors_total", Labels: lbl, Value: float64(st.SendErrors)},
-			)
+			lbl := map[string]string{"topic": tp}
+			for _, f := range nodeFamilies {
+				out = append(out, telemetry.Sample{Name: f.name, Labels: lbl, Value: float64(f.get(st))})
+			}
+			if ts, ok := peer.TopicStats(tp); ok {
+				out = append(out,
+					telemetry.Sample{Name: "ringcast_topic_frames_sent_total", Labels: lbl, Value: float64(ts.FramesSent)},
+					telemetry.Sample{Name: "ringcast_topic_bytes_sent_total", Labels: lbl, Value: float64(ts.BytesSent)},
+					telemetry.Sample{Name: "ringcast_topic_rejects_total", Labels: lbl, Value: float64(ts.Rejects)},
+				)
+			}
 		}
-		ts := rt.transportStats()
+		ts := peer.TransportStats()
 		out = append(out,
 			telemetry.Sample{Name: "ringcast_transport_frames_sent_total", Value: float64(ts.FramesSent)},
 			telemetry.Sample{Name: "ringcast_transport_bytes_sent_total", Value: float64(ts.BytesSent)},
@@ -144,30 +167,15 @@ func buildRegistry(rt *runtime, s *config.Store, epoch uint32) *telemetry.Regist
 			telemetry.Sample{Name: "ringcast_transport_dial_failures_total", Value: float64(ts.DialFailures)},
 			telemetry.Sample{Name: "ringcast_transport_queue_depth", Value: float64(ts.QueueDepth)},
 			telemetry.Sample{Name: "ringcast_transport_writers", Value: float64(ts.Writers)},
-		)
-		if rt.peer != nil {
-			for _, tp := range rt.topics {
-				if st, ok := rt.peer.TopicStats(tp); ok {
-					lbl := map[string]string{"topic": tp}
-					out = append(out,
-						telemetry.Sample{Name: "ringcast_topic_frames_sent_total", Labels: lbl, Value: float64(st.FramesSent)},
-						telemetry.Sample{Name: "ringcast_topic_bytes_sent_total", Labels: lbl, Value: float64(st.BytesSent)},
-						telemetry.Sample{Name: "ringcast_topic_rejects_total", Labels: lbl, Value: float64(st.Rejects)},
-					)
-				}
-			}
-			out = append(out, telemetry.Sample{Name: "ringcast_stray_frames_total", Value: float64(rt.peer.StrayFrames())})
-		}
-		fanout, interval, sendqCap := 0, time.Duration(0), int64(0)
-		if len(nds) > 0 {
-			fanout, interval = nds[0].Fanout(), nds[0].GossipInterval()
-		}
-		sendqCap = s.Int("sendq.cap")
-		out = append(out,
+			telemetry.Sample{Name: "ringcast_stray_frames_total", Value: float64(peer.StrayFrames())},
 			telemetry.Sample{Name: "ringcast_config_version", Value: float64(s.Version())},
 			telemetry.Sample{Name: "ringcast_config_gossip_interval_seconds", Value: interval.Seconds()},
 			telemetry.Sample{Name: "ringcast_config_fanout", Value: float64(fanout)},
-			telemetry.Sample{Name: "ringcast_config_send_queue_cap", Value: float64(sendqCap)},
+			telemetry.Sample{Name: "ringcast_config_cyclon_view", Value: float64(s.Int("cyclon.view"))},
+			telemetry.Sample{Name: "ringcast_config_vicinity_view", Value: float64(s.Int("vicinity.view"))},
+			telemetry.Sample{Name: "ringcast_config_send_queue_cap", Value: float64(s.Int("sendq.cap"))},
+			telemetry.Sample{Name: "ringcast_config_send_batch_bytes", Value: float64(s.Int("sendq.batch"))},
+			telemetry.Sample{Name: "ringcast_config_send_idle_seconds", Value: s.Duration("sendq.idle").Seconds()},
 			telemetry.Sample{Name: "ringcast_epoch", Value: float64(epoch)},
 		)
 		return out

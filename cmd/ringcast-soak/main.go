@@ -51,7 +51,7 @@ Examples:
   ringcast-soak -n 64 -interval 80ms -step 2s -guard 1500ms -fanout 4
   ringcast-soak -n 64 -seed 11 -host 127.0.0.1 -logdir /tmp/soak-logs
   ringcast-soak -n 64 -node-bin ./ringcast-node         # reuse a prebuilt node binary
-  ringcast-soak -n 32 -scenario retune-interval -metrics -report bench.json  # live re-tune + /metrics trail
+  ringcast-soak -n 32 -scenario retune-interval -report bench.json  # live re-tune, visible in the /metrics trail
 
 Scenario names: partition-heal-kill (default), retune-interval (halve the
 gossip interval mid-run through the config engine), none, or any built-in
@@ -83,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var (
 		n          = fs.Int("n", 64, "fleet size (number of node processes)")
-		topicsCSV  = fs.String("topics", "alpha,beta", "comma-separated pub/sub topics (empty = plain single-overlay nodes)")
+		topicsCSV  = fs.String("topics", "alpha,beta", "comma-separated pub/sub topics (empty = the one topic \"default\")")
 		scName     = fs.String("scenario", "partition-heal-kill", "fault timeline: partition-heal-kill, none, or a built-in name")
 		duration   = fs.Duration("duration", 20*time.Second, "publish-phase length")
 		rate       = fs.Int("rate", 25, "fleet-wide publishes per second")
@@ -98,7 +98,6 @@ func run(args []string, out io.Writer) error {
 		wedgeFor   = fs.Duration("wedge-for", 5*time.Second, "hold the wedge this long")
 		host       = fs.String("host", "127.0.0.1", "interface the fleet binds")
 		logdir     = fs.String("logdir", "", "per-process log directory (empty = discard node output)")
-		metrics    = fs.Bool("metrics", false, "serve /metrics on every node and record a scrape trail in the report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,7 +143,6 @@ func run(args []string, out io.Writer) error {
 		Seed:           *seed,
 		WedgeAfter:     *wedgeAfter,
 		WedgeFor:       *wedgeFor,
-		Metrics:        *metrics,
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -37,7 +37,11 @@ type Links struct {
 }
 
 // Selector chooses gossip targets for a node presented with a fresh message.
+// The live node selects over IDs (Select); the simulators select over
+// resolved overlay positions (the embedded PosSelector), so every selector
+// implements both, with identical randomness consumption.
 type Selector interface {
+	PosSelector
 	// Name identifies the protocol in tables and logs.
 	Name() string
 	// Select returns the targets to forward to. from is the node the message
@@ -183,22 +187,21 @@ type PosScratch struct {
 	cand []int32
 }
 
-// PosSelector is implemented by selectors that can choose targets directly
-// over resolved positions. SelectPos appends the chosen positions to dst and
+// PosSelector chooses targets directly over resolved positions; every
+// Selector embeds it. SelectPos appends the chosen positions to dst and
 // returns the extended slice (it never inspects dst below its initial
 // length). Implementations MUST consume exactly the same randomness as
 // Select does on the equivalent ID links, so that the position path and the
-// ID path produce identical disseminations. All selectors in this package
-// satisfy PosSelector.
+// ID path produce identical disseminations.
 type PosSelector interface {
 	SelectPos(dst []int32, s *PosScratch, links PosLinks, from int32, fanout int, rng *rand.Rand) []int32
 }
 
 var (
-	_ PosSelector = RandCast{}
-	_ PosSelector = RingCast{}
-	_ PosSelector = Flood{}
-	_ PosSelector = DFlood{}
+	_ Selector = RandCast{}
+	_ Selector = RingCast{}
+	_ Selector = Flood{}
+	_ Selector = DFlood{}
 )
 
 // SelectPos implements PosSelector, mirroring Select.

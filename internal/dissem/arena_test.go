@@ -1,7 +1,6 @@
 package dissem
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,52 +191,4 @@ func TestArenaMultiShardParallel(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCompactOverlay pins the Compact contract: built-in selectors keep
-// running (identical results), DGraph keeps working, and the foreign
-// selector fallback reports a clear error.
-func TestCompactOverlay(t *testing.T) {
-	ids, links := randomOverlayInput(99)
-	a, err := FromLinks(ids, links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromLinks(ids, links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Compact()
-	if got := b.Links(0); len(got.R) != 0 || len(got.D) != 0 {
-		t.Fatalf("compacted Links not empty: %+v", got)
-	}
-	da, err := Run(a, ids[0], core.RingCast{}, 3, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Run(b, ids[0], core.RingCast{}, 3, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da.Reached != db.Reached || da.Virgin != db.Virgin || da.Redundant != db.Redundant {
-		t.Fatalf("compacted run diverges: %+v vs %+v", da, db)
-	}
-	ga, gb := a.DGraph(), b.DGraph()
-	for i := range ids {
-		if fmt.Sprint(ga.Out(i)) != fmt.Sprint(gb.Out(i)) {
-			t.Fatalf("DGraph differs at node %d", i)
-		}
-	}
-	if _, err := Run(b, ids[0], foreignSelector{}, 3, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("foreign selector on compacted overlay did not error")
-	}
-}
-
-// foreignSelector is a Selector that is not a PosSelector, forcing the
-// ID-path fallback.
-type foreignSelector struct{}
-
-func (foreignSelector) Name() string { return "foreign" }
-func (foreignSelector) Select(links core.Links, from ident.ID, fanout int, rng *rand.Rand) []ident.ID {
-	return core.RingCast{}.Select(links, from, fanout, rng)
 }

@@ -32,8 +32,8 @@ type Overlay struct {
 	// (ids is nil): at ten million nodes the ID slice plus the origin index
 	// cost hundreds of megabytes the position-based scale path never reads.
 	ids []ident.ID
-	// links holds the ID-level link sets. Compact() releases it for
-	// large-scale runs that only need the resolved arena.
+	// links holds the ID-level link sets (nil for overlays built
+	// FromArena); dissemination reads only the resolved arena.
 	links []core.Links
 	// arena holds all links resolved to dense positions in one flat int32
 	// buffer with per-node offsets (core.PosArena), computed once at
@@ -274,28 +274,14 @@ func (o *Overlay) N() int { return len(o.alive) }
 // FromArena. Callers must not mutate.
 func (o *Overlay) IDs() []ident.ID { return o.ids }
 
-// Links returns node i's outgoing links. Callers must not mutate. After
-// Compact the ID-level links are gone and Links returns the zero value.
+// Links returns node i's outgoing links. Callers must not mutate. An
+// overlay built FromArena has no ID-level links and returns the zero value.
 func (o *Overlay) Links(i int) core.Links {
 	if o.links == nil {
 		return core.Links{}
 	}
 	return o.links[i]
 }
-
-// Compact releases the overlay's ID-level link sets, keeping only the
-// resolved arena (plus IDs, liveness and the origin index). At a million
-// nodes the per-node []ident.ID slices cost hundreds of megabytes that the
-// dissemination hot path never touches — the scale runner drops them right
-// after the snapshot. A compacted overlay supports every built-in selector
-// (they all select over positions); only the foreign-Selector fallback of
-// RunScratch, which needs ID links, refuses to run.
-func (o *Overlay) Compact() { o.links = nil }
-
-// Compacted reports whether Compact released the ID-level links. Engines
-// that fall back to ID selection for foreign selectors must check it and
-// refuse instead of silently selecting over empty link sets.
-func (o *Overlay) Compacted() bool { return o.links == nil }
 
 // AliveCount returns the number of live nodes.
 func (o *Overlay) AliveCount() int { return len(o.live) }
@@ -566,15 +552,6 @@ func RunScratchPos(o *Overlay, origin int32, sel core.Selector, fanout int, rng 
 	if sc == nil {
 		sc = NewScratch()
 	}
-	// All built-in selectors choose over resolved positions; foreign
-	// Selector implementations fall back to ID selection with a per-target
-	// index lookup — which needs the ID-level links a compacted overlay no
-	// longer carries.
-	posSel, _ := sel.(core.PosSelector)
-	if posSel == nil && o.Compacted() {
-		return nil, fmt.Errorf("dissem: selector %s needs ID links, but the overlay was compacted", sel.Name())
-	}
-
 	d := &metrics.Dissemination{
 		AliveTotal: o.AliveCount(),
 	}
@@ -596,20 +573,7 @@ func RunScratchPos(o *Overlay, origin int32, sel core.Selector, fanout int, rng 
 	// to out. Unknown targets (placeholder positions < 0) are dropped
 	// silently, exactly as the ID path drops targets missing from the index.
 	forward := func(i, from int32, out []delivery) []delivery {
-		sc.targets = sc.targets[:0]
-		if posSel != nil {
-			sc.targets = posSel.SelectPos(sc.targets, &sc.sel, o.arena.Links(int(i)), from, fanout, rng)
-		} else {
-			fromID := ident.Nil
-			if from >= 0 {
-				fromID = o.ids[from]
-			}
-			for _, tgt := range sel.Select(o.links[i], fromID, fanout, rng) {
-				if j, ok := o.index[tgt]; ok {
-					sc.targets = append(sc.targets, int32(j))
-				}
-			}
-		}
+		sc.targets = sel.SelectPos(sc.targets[:0], &sc.sel, o.arena.Links(int(i)), from, fanout, rng)
 		for _, j := range sc.targets {
 			if j < 0 {
 				continue // link to an unknown node: treat as lost silently

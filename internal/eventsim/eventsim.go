@@ -187,11 +187,6 @@ func RunFaults(o *dissem.Overlay, origin ident.ID, sel core.Selector, fanout int
 	if sc == nil {
 		sc = NewScratch()
 	}
-	posSel, _ := sel.(core.PosSelector)
-	if posSel == nil && o.Compacted() {
-		return nil, fmt.Errorf("eventsim: selector %s needs ID links, but the overlay was compacted", sel.Name())
-	}
-
 	res := &Result{AliveTotal: o.AliveCount()}
 	sc.notified = sc.notified.Reuse(o.N())
 	notified := sc.notified
@@ -213,20 +208,7 @@ func RunFaults(o *dissem.Overlay, origin ident.ID, sel core.Selector, fanout int
 		}
 	}
 	emit := func(i, from int32, now float64) {
-		sc.targets = sc.targets[:0]
-		if posSel != nil {
-			sc.targets = posSel.SelectPos(sc.targets, &sc.sel, o.PosLinks(int(i)), from, fanout, rng)
-		} else {
-			fromID := ident.Nil
-			if from >= 0 {
-				fromID = o.IDs()[from]
-			}
-			for _, tgt := range sel.Select(o.Links(int(i)), fromID, fanout, rng) {
-				if j, ok := o.Pos(tgt); ok {
-					sc.targets = append(sc.targets, int32(j))
-				}
-			}
-		}
+		sc.targets = sel.SelectPos(sc.targets[:0], &sc.sel, o.PosLinks(int(i)), from, fanout, rng)
 		for _, j := range sc.targets {
 			if j < 0 {
 				continue // link to an unknown node: lost silently

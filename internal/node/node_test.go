@@ -16,12 +16,14 @@ import (
 )
 
 // testCluster spins up n in-memory nodes joined in a chain and gossiped to
-// convergence.
+// convergence. Every node sends through its own fault injector (a
+// pass-through until a test programs it).
 type testCluster struct {
-	net   *transport.InMemNetwork
-	nodes []*Node
-	mu    sync.Mutex
-	got   map[ident.ID][]wire.MsgID // deliveries per node
+	net    *transport.InMemNetwork
+	nodes  []*Node
+	faults []*transport.FaultInjector
+	mu     sync.Mutex
+	got    map[ident.ID][]wire.MsgID // deliveries per node
 }
 
 func testNodeConfig(i int) Config {
@@ -48,8 +50,10 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fi := transport.WrapFaults(ep, int64(i+1))
+		c.faults = append(c.faults, fi)
 		cfg := testNodeConfig(i)
-		nd, err := New(cfg, ep, nil)
+		nd, err := New(cfg, fi, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,11 +384,29 @@ func TestJoinUnreachableBootstrap(t *testing.T) {
 
 // The overlay must keep working when a fifth of all gossip and data
 // messages are silently lost: push gossip's redundancy is the reliability
-// mechanism (paper, Section 1).
+// mechanism (paper, Section 1). The loss is silent — the sender sees
+// success, as on a congested path — so no send error is counted and no
+// peer is evicted: what carries the message is redundancy, not eviction.
 func TestClusterToleratesMessageLoss(t *testing.T) {
 	c := newTestCluster(t, 16)
 	defer c.close()
-	c.net.SetLoss(0.2, 99)
+	for _, fi := range c.faults {
+		fi.SetLoss(0.2)
+	}
+	defer func() {
+		var errs uint64
+		var lost int64
+		for i, nd := range c.nodes {
+			errs += nd.Stats().SendErrors
+			lost += c.faults[i].InjectedDrops()
+		}
+		if lost == 0 {
+			t.Error("no copy was lost: the loss model is not active")
+		}
+		if errs != 0 {
+			t.Errorf("%d send errors under silent loss: copies were refused, not lost", errs)
+		}
+	}()
 	// Gossip keeps running under loss.
 	for cycle := 0; cycle < 20; cycle++ {
 		for _, nd := range c.nodes {

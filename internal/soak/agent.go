@@ -2,23 +2,23 @@ package soak
 
 // The node-side half of the harness: every ringcast-node launched with
 // -control runs an Agent, a line-oriented TCP control server the harness
-// uses for health probes, fault programming, publish injection and the
-// delivery-completeness ledger. One command per line, one JSON object per
-// response line; the protocol is deliberately dumb so a human can drive a
-// node with nc(1) while the harness drives the rest of the fleet.
+// uses for actuation — fault programming, publish injection, config sets,
+// wedging — plus the two reads no counter can carry: the per-topic ring
+// status (exact 64-bit ring IDs for the mesh barrier) and the
+// delivery-completeness ledger. Counters are read from the node's /metrics
+// endpoint only. One command per line, one JSON object per response line;
+// the protocol is deliberately dumb so a human can drive a node with nc(1)
+// while the harness drives the rest of the fleet.
 
 import (
 	"fmt"
 	"net"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"ringcast/internal/ident"
-	"ringcast/internal/node"
 	"ringcast/internal/transport"
 	"ringcast/internal/wire"
 )
@@ -36,20 +36,6 @@ type TopicStatus struct {
 	Succ uint64 `json:"succ"`
 	// Ring reports whether the node knows both ring neighbors.
 	Ring bool `json:"ring"`
-}
-
-// AgentStats is the counter snapshot returned by the stats command.
-type AgentStats struct {
-	// Node aggregates the protocol counters across all topic overlays.
-	Node node.Stats `json:"node"`
-	// Transport is the shared base transport's counters.
-	Transport transport.Stats `json:"transport"`
-	// Delivered counts unique messages recorded in the delivery ledger
-	// across all topics. Unlike Node.Delivered it survives topic
-	// aggregation and is the lag detector's progress signal.
-	Delivered int64 `json:"delivered"`
-	// Wedged reports whether the delivery path is currently wedged.
-	Wedged bool `json:"wedged"`
 }
 
 // PubAck acknowledges a control-initiated publish.
@@ -79,47 +65,32 @@ type LedgerEntry struct {
 // safe for concurrent use; Quit must not block (signal a channel, then let
 // the main loop shut down).
 type Hooks struct {
-	// ID returns the node's ring identifier (the first topic's, for
-	// multi-topic peers — the scenario driver resolves arcs over it).
-	ID func() ident.ID
-	// Addr returns the node's transport address.
-	Addr func() string
-	// Topics lists the subscribed topics (or the plain pseudo-topic).
-	Topics []string
 	// Publish originates a message on a topic.
 	Publish func(topic string, body []byte) (wire.MsgID, error)
 	// Status snapshots every topic overlay's health.
 	Status func() map[string]TopicStatus
-	// NodeStats aggregates protocol counters across topics.
-	NodeStats func() node.Stats
-	// TransportStats snapshots the shared transport counters.
-	TransportStats func() transport.Stats
 	// Faults is the node's fault-injection surface; nil disables the
 	// block/unblock/heal/loss commands.
 	Faults *transport.FaultInjector
 	// SetParam sets one config-engine key to a raw value; nil disables the
 	// set command. The value is validated and canonicalized by the engine.
 	SetParam func(key, value string) error
-	// GetParam returns a key's canonical value and the engine's current
-	// version; nil disables the get command.
-	GetParam func(key string) (value string, version uint64, err error)
 	// Quit asks the process to shut down cleanly.
 	Quit func()
 }
 
 // Agent is the per-process control server. Create with NewAgent (which
-// binds the listener, so the port is known before the node exists), route
-// deliveries through Deliver, then Start serving once the node runtime is
-// up.
+// binds the listener, so the port is known before the node exists), put
+// Gate on the node's transport, route deliveries through Deliver, then
+// Start serving once the node runtime is up.
 type Agent struct {
 	ln    net.Listener
 	hmu   sync.RWMutex
 	hooks Hooks
 
-	mu        sync.Mutex
-	ledger    map[string]map[wire.MsgID]int64
-	delivered int64
-	wedge     chan struct{} // non-nil while the delivery path is wedged
+	mu     sync.Mutex
+	ledger map[string]map[wire.MsgID]int64
+	wedge  chan struct{} // non-nil while the inbound path is wedged
 
 	done chan struct{}
 	once sync.Once
@@ -153,22 +124,41 @@ func (a *Agent) Start(h Hooks) {
 	go a.acceptLoop()
 }
 
-// Deliver records one delivered message in the topic's ledger, stamping
-// its arrival time. While the agent is wedged the call blocks — it runs on
-// the transport's inbound path, so a wedge simulates a stuck consumer
-// backing the whole delivery pipeline up, exactly what the harness's lag
-// detector exists to catch.
-func (a *Agent) Deliver(topic string, id wire.MsgID) {
-	a.mu.Lock()
-	w := a.wedge
-	a.mu.Unlock()
-	if w != nil {
-		select {
-		case <-w:
-		case <-a.done:
-			return
+// Gate wraps the node's transport with the wedge: while the agent is
+// wedged every inbound frame waits before it reaches the node, so a wedge
+// simulates a stuck consumer backing the whole delivery pipeline up. The
+// frames wait ahead of the node's dedup, so its delivered counter — the
+// lag detector's progress signal on /metrics — stalls with the pipeline.
+func (a *Agent) Gate(tr transport.Transport) transport.Transport {
+	return gatedTransport{Transport: tr, a: a}
+}
+
+// gatedTransport holds inbound frames while its agent is wedged.
+type gatedTransport struct {
+	transport.Transport
+	a *Agent
+}
+
+// SetHandler implements transport.Transport.
+func (g gatedTransport) SetHandler(h transport.Handler) {
+	g.Transport.SetHandler(func(remote string, f *wire.Frame) {
+		g.a.mu.Lock()
+		w := g.a.wedge
+		g.a.mu.Unlock()
+		if w != nil {
+			select {
+			case <-w:
+			case <-g.a.done:
+				return
+			}
 		}
-	}
+		h(remote, f)
+	})
+}
+
+// Deliver records one delivered message in the topic's ledger, stamping
+// its arrival time.
+func (a *Agent) Deliver(topic string, id wire.MsgID) {
 	now := time.Now().UnixNano()
 	a.mu.Lock()
 	m := a.ledger[topic]
@@ -178,7 +168,6 @@ func (a *Agent) Deliver(topic string, id wire.MsgID) {
 	}
 	if _, dup := m[id]; !dup {
 		m[id] = now
-		a.delivered++
 	}
 	a.mu.Unlock()
 }
@@ -248,16 +237,6 @@ func (a *Agent) handle(line string) ctlResp {
 	a.hmu.RUnlock()
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch cmd {
-	case "ping":
-		return ctlResp{OK: true}
-	case "info":
-		return ctlResp{
-			OK:     true,
-			ID:     uint64(h.ID()),
-			Addr:   h.Addr(),
-			Topics: h.Topics,
-			PID:    os.Getpid(),
-		}
 	case "status":
 		return ctlResp{OK: true, Status: h.Status()}
 	case "publish":
@@ -271,13 +250,6 @@ func (a *Agent) handle(line string) ctlResp {
 			return errResp(err.Error())
 		}
 		return ctlResp{OK: true, Ack: &PubAck{Origin: uint64(id.Origin), Epoch: id.Epoch, Seq: id.Seq, T: t}}
-	case "stats":
-		st := AgentStats{Node: h.NodeStats(), Transport: h.TransportStats()}
-		a.mu.Lock()
-		st.Delivered = a.delivered
-		st.Wedged = a.wedge != nil
-		a.mu.Unlock()
-		return ctlResp{OK: true, Stats: &st}
 	case "ledger":
 		return a.ledgerResp(rest)
 	case "block", "unblock":
@@ -308,6 +280,11 @@ func (a *Agent) handle(line string) ctlResp {
 		if err != nil {
 			return errResp("loss: " + err.Error())
 		}
+		// The negated test also rejects NaN, which every comparison fails
+		// and which would otherwise switch loss off silently.
+		if !(rate >= 0 && rate <= 1) {
+			return errResp("loss: rate " + strconv.FormatFloat(rate, 'g', -1, 64) + " outside [0, 1]")
+		}
 		h.Faults.SetLoss(rate)
 		return ctlResp{OK: true}
 	case "set":
@@ -322,19 +299,6 @@ func (a *Agent) handle(line string) ctlResp {
 			return errResp(err.Error())
 		}
 		return ctlResp{OK: true}
-	case "get":
-		if h.GetParam == nil {
-			return errResp("no config surface")
-		}
-		key := strings.TrimSpace(rest)
-		if key == "" {
-			return errResp("get: want key")
-		}
-		value, version, err := h.GetParam(key)
-		if err != nil {
-			return errResp(err.Error())
-		}
-		return ctlResp{OK: true, Value: value, Version: version}
 	case "wedge":
 		a.mu.Lock()
 		if a.wedge == nil {

@@ -6,21 +6,23 @@ package soak
 // it only inside child processes, outside the instrumented binary).
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ringcast/internal/ident"
-	"ringcast/internal/node"
 	"ringcast/internal/transport"
 	"ringcast/internal/wire"
 )
 
 // stubHooks builds a hook set over recording stubs.
-func stubHooks(t *testing.T) (Hooks, *atomic.Int32, *struct {
+func stubHooks(t testing.TB) (Hooks, *atomic.Int32, *struct {
 	mu    sync.Mutex
 	topic string
 	body  string
@@ -33,12 +35,6 @@ func stubHooks(t *testing.T) (Hooks, *atomic.Int32, *struct {
 		body  string
 	}{}
 	var seq atomic.Uint64
-	// params is the stub config surface behind the SetParam/GetParam hooks.
-	params := struct {
-		mu      sync.Mutex
-		vals    map[string]string
-		version uint64
-	}{vals: make(map[string]string)}
 	fabric := transport.NewInMemNetwork()
 	ep, err := fabric.Endpoint("agent-under-test")
 	if err != nil {
@@ -47,9 +43,6 @@ func stubHooks(t *testing.T) (Hooks, *atomic.Int32, *struct {
 	fi := transport.WrapFaults(ep, 1)
 	t.Cleanup(func() { fi.Close() })
 	return Hooks{
-		ID:     func() ident.ID { return 42 },
-		Addr:   func() string { return "10.0.0.1:7" },
-		Topics: []string{"alpha", "beta"},
 		Publish: func(topic string, body []byte) (wire.MsgID, error) {
 			pub.mu.Lock()
 			pub.topic, pub.body = topic, string(body)
@@ -62,27 +55,12 @@ func stubHooks(t *testing.T) (Hooks, *atomic.Int32, *struct {
 				"beta":  {ID: 43, View: 2},
 			}
 		},
-		NodeStats:      func() node.Stats { return node.Stats{Delivered: 3, Forwarded: 9} },
-		TransportStats: func() transport.Stats { return transport.Stats{FramesSent: 17} },
-		Faults:         fi,
+		Faults: fi,
 		SetParam: func(key, value string) error {
 			if key != "gossip.interval" {
 				return errUnknownKey
 			}
-			params.mu.Lock()
-			params.vals[key] = value
-			params.version++
-			params.mu.Unlock()
 			return nil
-		},
-		GetParam: func(key string) (string, uint64, error) {
-			params.mu.Lock()
-			defer params.mu.Unlock()
-			v, ok := params.vals[key]
-			if !ok {
-				return "", 0, errUnknownKey
-			}
-			return v, params.version, nil
 		},
 		Quit: func() { quits.Add(1) },
 	}, quits, pub
@@ -107,16 +85,6 @@ func TestAgentControlRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	info, err := c.Info()
-	if err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	if info.ID != 42 || info.Addr != "10.0.0.1:7" || len(info.Topics) != 2 || info.PID == 0 {
-		t.Errorf("info = %+v", info)
-	}
 	st, err := c.Status()
 	if err != nil {
 		t.Fatalf("status: %v", err)
@@ -140,14 +108,6 @@ func TestAgentControlRoundTrip(t *testing.T) {
 		t.Errorf("publish forwarded (%q, %q)", gotTopic, gotBody)
 	}
 
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if stats.Node.Forwarded != 9 || stats.Transport.FramesSent != 17 || stats.Delivered != 0 || stats.Wedged {
-		t.Errorf("stats = %+v", stats)
-	}
-
 	// Ledger: deliveries dedup by full message ID (epoch included) and
 	// come back sorted origin, then epoch, then seq.
 	agent.Deliver("alpha", wire.MsgID{Origin: 9, Seq: 2})
@@ -163,23 +123,13 @@ func TestAgentControlRoundTrip(t *testing.T) {
 		entries[2].Epoch != 1 || entries[2].Seq != 1 {
 		t.Errorf("ledger entries = %+v", entries)
 	}
-	if stats, _ = c.Stats(); stats.Delivered != 4 {
-		t.Errorf("delivered total = %d, want 4 (dedup)", stats.Delivered)
-	}
 
-	// Config verbs round-trip through the SetParam/GetParam hooks.
+	// The set verb reaches the SetParam hook, rejections included.
 	if err := c.SetParam("gossip.interval", "50ms"); err != nil {
 		t.Fatalf("set: %v", err)
 	}
-	v, ver, err := c.GetParam("gossip.interval")
-	if err != nil || v != "50ms" || ver != 1 {
-		t.Errorf("get = (%q, %d, %v), want (50ms, 1, nil)", v, ver, err)
-	}
 	if err := c.SetParam("no.such.key", "1"); err == nil {
 		t.Error("set of unknown key succeeded")
-	}
-	if _, _, err := c.GetParam("no.such.key"); err == nil {
-		t.Error("get of unknown key succeeded")
 	}
 
 	// Fault surface plumbed through.
@@ -195,17 +145,27 @@ func TestAgentControlRoundTrip(t *testing.T) {
 	if err := c.SetLoss(0.25); err != nil {
 		t.Errorf("loss: %v", err)
 	}
+	// A loss rate must be a finite probability: NaN would otherwise turn
+	// loss off silently, and -1 or 7 are not rates at all.
+	for _, bad := range []string{"NaN", "-1", "7", "+Inf", "0.5x"} {
+		if _, err := c.do("loss " + bad); err == nil {
+			t.Errorf("loss %s accepted", bad)
+		}
+	}
 
-	// Unknown commands and malformed publishes fail without killing the
+	// Unknown commands — the counter and identity verbs included: counters
+	// come from /metrics — and malformed publishes fail without killing the
 	// connection.
-	if _, err := c.do("bogus"); err == nil || !strings.Contains(err.Error(), "unknown command") {
-		t.Errorf("bogus command returned %v", err)
+	for _, cmd := range []string{"bogus", "stats", "info", "ping", "get gossip.interval"} {
+		if _, err := c.do(cmd); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("%s returned %v, want unknown command", cmd, err)
+		}
 	}
 	if _, err := c.do("publish alpha"); err == nil {
 		t.Error("publish without body succeeded")
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping after errors: %v", err)
+	if _, err := c.Status(); err != nil {
+		t.Fatalf("status after errors: %v", err)
 	}
 
 	if err := c.Quit(); err != nil {
@@ -216,6 +176,10 @@ func TestAgentControlRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAgentWedgeBlocksDeliver drives the wedge through the agent's
+// transport gate: while wedged, inbound frames wait ahead of the handler
+// (so nothing reaches the node or the ledger); unwedge releases them; and
+// closing the agent releases a fresh wedge so no inbound goroutine leaks.
 func TestAgentWedgeBlocksDeliver(t *testing.T) {
 	agent, err := NewAgent("127.0.0.1:0")
 	if err != nil {
@@ -230,21 +194,42 @@ func TestAgentWedgeBlocksDeliver(t *testing.T) {
 	}
 	defer c.Close()
 
+	fabric := transport.NewInMemNetwork()
+	src, err := fabric.Endpoint("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := fabric.Endpoint("dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := agent.Gate(dst)
+	recorded := make(chan struct{}, 2)
+	gated.SetHandler(func(_ string, f *wire.Frame) {
+		agent.Deliver("alpha", f.Msg.ID)
+		recorded <- struct{}{}
+	})
+	send := func(seq uint64) {
+		t.Helper()
+		f := &wire.Frame{Kind: wire.KindGossip, From: 1, FromAddr: "src",
+			Msg: &wire.Message{ID: wire.MsgID{Origin: 1, Seq: seq}, Body: []byte("x")}}
+		if err := src.Send("dst", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	if err := c.Wedge(); err != nil {
 		t.Fatal(err)
 	}
-	recorded := make(chan struct{})
-	go func() {
-		agent.Deliver("alpha", wire.MsgID{Origin: 1, Seq: 1})
-		close(recorded)
-	}()
+	send(1)
 	select {
 	case <-recorded:
-		t.Fatal("Deliver completed while wedged")
+		t.Fatal("frame reached the handler while wedged")
 	case <-time.After(150 * time.Millisecond):
 	}
-	if stats, err := c.Stats(); err != nil || !stats.Wedged || stats.Delivered != 0 {
-		t.Errorf("wedged stats = %+v (err %v)", stats, err)
+	if entries, err := c.Ledger("alpha"); err != nil || len(entries) != 0 {
+		t.Errorf("wedged ledger = %+v (err %v), want empty", entries, err)
 	}
 
 	if err := c.Unwedge(); err != nil {
@@ -253,49 +238,116 @@ func TestAgentWedgeBlocksDeliver(t *testing.T) {
 	select {
 	case <-recorded:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Deliver still blocked after unwedge")
+		t.Fatal("frame still held after unwedge")
 	}
-	if stats, err := c.Stats(); err != nil || stats.Wedged || stats.Delivered != 1 {
-		t.Errorf("unwedged stats = %+v (err %v)", stats, err)
+	if entries, err := c.Ledger("alpha"); err != nil || len(entries) != 1 {
+		t.Errorf("unwedged ledger = %+v (err %v), want one entry", entries, err)
 	}
 
-	// Closing the agent releases a fresh wedge so no goroutine leaks.
+	// Closing the agent releases a fresh wedge: the held inbound goroutine
+	// returns, so the endpoint's Close (which waits for it) completes.
 	if err := c.Wedge(); err != nil {
 		t.Fatal(err)
 	}
-	blocked := make(chan struct{})
-	go func() {
-		agent.Deliver("alpha", wire.MsgID{Origin: 1, Seq: 2})
-		close(blocked)
-	}()
+	send(2)
 	time.Sleep(50 * time.Millisecond)
 	agent.Close()
+	closed := make(chan struct{})
+	go func() {
+		gated.Close()
+		close(closed)
+	}()
 	select {
-	case <-blocked:
+	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Deliver leaked past agent Close")
+		t.Fatal("inbound goroutine leaked past agent Close")
 	}
 }
 
 func TestParseReady(t *testing.T) {
-	ri, ok := parseReady("SOAK ready addr=127.0.0.1:1 control=127.0.0.1:9 id=77 pid=123")
-	if !ok || ri.addr != "127.0.0.1:1" || ri.control != "127.0.0.1:9" || ri.id != 77 || ri.pid != 123 {
+	ri, ok := parseReady("SOAK ready addr=127.0.0.1:1 control=127.0.0.1:9 id=77 pid=123 metrics=127.0.0.1:1")
+	if !ok || ri.addr != "127.0.0.1:1" || ri.control != "127.0.0.1:9" || ri.id != 77 || ri.pid != 123 || ri.metrics != "127.0.0.1:1" {
 		t.Errorf("parseReady = %+v ok=%v", ri, ok)
-	}
-	if ri.metrics != "" {
-		t.Errorf("metrics parsed from a line without it: %q", ri.metrics)
-	}
-	ri, ok = parseReady("SOAK ready addr=127.0.0.1:1 control=127.0.0.1:9 id=77 pid=123 metrics=127.0.0.1:9")
-	if !ok || ri.metrics != "127.0.0.1:9" {
-		t.Errorf("parseReady with metrics = %+v ok=%v", ri, ok)
 	}
 	for _, bad := range []string{
 		"node 12 listening on 127.0.0.1:1",
 		"SOAK ready addr=127.0.0.1:1",
+		// Every counter is read from /metrics, so a node without one is
+		// not ready for the harness.
+		"SOAK ready addr=127.0.0.1:1 control=127.0.0.1:9 id=77 pid=123",
 		"[recv a/1] SOAK ready addr=x control=y",
 	} {
 		if _, ok := parseReady(bad); ok {
 			t.Errorf("parseReady accepted %q", bad)
 		}
 	}
+}
+
+// wantOK is the fuzz oracle: whether the agent must accept line (already
+// trimmed, as serve hands it over) under stubHooks. Unknown verbs and
+// malformed arguments must fail; well-formed commands must succeed.
+func wantOK(line string) bool {
+	cmd, rest, _ := strings.Cut(line, " ")
+	switch cmd {
+	case "status", "heal", "wedge", "unwedge", "quit":
+		return true
+	case "publish":
+		topic, _, ok := strings.Cut(rest, " ")
+		return ok && topic != ""
+	case "ledger":
+		return strings.TrimSpace(rest) != ""
+	case "block", "unblock":
+		return len(strings.Fields(rest)) > 0
+	case "loss":
+		rate, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		return err == nil && !math.IsNaN(rate) && rate >= 0 && rate <= 1
+	case "set":
+		key, _, ok := strings.Cut(rest, " ")
+		return ok && key == "gossip.interval"
+	}
+	return false
+}
+
+// FuzzControlLine feeds arbitrary control lines to the agent's handler
+// over stub hooks. It must never panic, must answer every line with
+// exactly one JSON response line, and must answer ok:false to unknown
+// verbs and malformed arguments (and ok:true to well-formed commands).
+func FuzzControlLine(f *testing.F) {
+	for _, seed := range []string{
+		"loss NaN", "loss 2", "publish", "block", "set k", "",
+		"loss 0.25", "publish alpha hello world", "ledger alpha", "stats",
+	} {
+		f.Add(seed)
+	}
+	agent, err := NewAgent("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { agent.Close() })
+	hooks, _, _ := stubHooks(f)
+	agent.Start(hooks)
+	f.Fuzz(func(t *testing.T, line string) {
+		if strings.ContainsRune(line, '\n') {
+			return // the line reader never hands over an embedded newline
+		}
+		line = strings.TrimSpace(line)
+		var buf bytes.Buffer
+		if err := writeResp(&buf, agent.handle(line)); err != nil {
+			t.Fatalf("writeResp: %v", err)
+		}
+		out := buf.String()
+		if strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "\n") {
+			t.Fatalf("response to %q is not exactly one line: %q", line, out)
+		}
+		var r ctlResp
+		if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+			t.Fatalf("response to %q is not JSON: %v (%q)", line, err, out)
+		}
+		if want := wantOK(line); r.OK != want {
+			t.Fatalf("%q: ok=%v (err %q), want ok=%v", line, r.OK, r.Err, want)
+		}
+		if !r.OK && r.Err == "" {
+			t.Fatalf("%q: failure without an error message", line)
+		}
+	})
 }

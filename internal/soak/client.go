@@ -23,16 +23,9 @@ import (
 type ctlResp struct {
 	OK      bool                   `json:"ok"`
 	Err     string                 `json:"err,omitempty"`
-	ID      uint64                 `json:"id,omitempty"`
-	Addr    string                 `json:"addr,omitempty"`
-	Topics  []string               `json:"topics,omitempty"`
-	PID     int                    `json:"pid,omitempty"`
 	Status  map[string]TopicStatus `json:"status,omitempty"`
 	Ack     *PubAck                `json:"ack,omitempty"`
-	Stats   *AgentStats            `json:"stats,omitempty"`
 	Entries []LedgerEntry          `json:"entries,omitempty"`
-	Value   string                 `json:"value,omitempty"`
-	Version uint64                 `json:"version,omitempty"`
 }
 
 // errResp builds a failure response.
@@ -69,18 +62,6 @@ func (l *lineReader) next() (string, error) {
 			return sb.String(), nil
 		}
 	}
-}
-
-// Info is a node's identity snapshot, from the info command.
-type Info struct {
-	// ID is the ring identifier the scenario driver resolves arcs over.
-	ID uint64
-	// Addr is the node's transport address.
-	Addr string
-	// Topics lists the subscribed topics.
-	Topics []string
-	// PID is the process ID, for supervision cross-checks.
-	PID int
 }
 
 // Client speaks the control protocol to one Agent. NOT safe for concurrent
@@ -129,21 +110,6 @@ func (c *Client) do(cmd string) (*ctlResp, error) {
 	return &r, nil
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	_, err := c.do("ping")
-	return err
-}
-
-// Info fetches the node's identity snapshot.
-func (c *Client) Info() (Info, error) {
-	r, err := c.do("info")
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{ID: r.ID, Addr: r.Addr, Topics: r.Topics, PID: r.PID}, nil
-}
-
 // Status fetches every topic overlay's health.
 func (c *Client) Status() (map[string]TopicStatus, error) {
 	r, err := c.do("status")
@@ -165,18 +131,6 @@ func (c *Client) Publish(topic, body string) (PubAck, error) {
 		return PubAck{}, errors.New("soak: publish: no ack in response")
 	}
 	return *r.Ack, nil
-}
-
-// Stats fetches the node's counter snapshot.
-func (c *Client) Stats() (AgentStats, error) {
-	r, err := c.do("stats")
-	if err != nil {
-		return AgentStats{}, err
-	}
-	if r.Stats == nil {
-		return AgentStats{}, errors.New("soak: stats: no payload in response")
-	}
-	return *r.Stats, nil
 }
 
 // Ledger fetches one topic's delivery ledger.
@@ -218,16 +172,6 @@ func (c *Client) SetLoss(rate float64) error {
 func (c *Client) SetParam(key, value string) error {
 	_, err := c.do("set " + key + " " + value)
 	return err
-}
-
-// GetParam fetches one config-engine key's canonical value and the remote
-// engine's current version.
-func (c *Client) GetParam(key string) (string, uint64, error) {
-	r, err := c.do("get " + key)
-	if err != nil {
-		return "", 0, err
-	}
-	return r.Value, r.Version, nil
 }
 
 // Wedge blocks the remote node's delivery path (a simulated stuck

@@ -183,7 +183,7 @@ type fleet struct {
 	published int
 	pubErrs   int
 
-	// mmu guards the scraped metrics trail (Config.Metrics only).
+	// mmu guards node 0's scraped metrics trail.
 	mmu        sync.Mutex
 	metricsLog []MetricSample
 
@@ -200,7 +200,7 @@ type fleet struct {
 func newFleet(cfg Config) *fleet {
 	return &fleet{
 		cfg:     cfg,
-		topics:  cfg.topics(),
+		topics:  cfg.Topics,
 		done:    make(chan struct{}),
 		lagging: make(map[string]time.Time),
 		wedged:  make(map[int]bool),
@@ -405,6 +405,7 @@ func (f *fleet) launchSpec(p *proc, join string) launchSpec {
 		bin:      f.cfg.NodeBin,
 		listen:   f.cfg.Host + ":0",
 		control:  f.cfg.Host + ":0",
+		metrics:  f.cfg.Host + ":0",
 		join:     join,
 		topics:   f.cfg.Topics,
 		interval: f.cfg.GossipInterval,
@@ -413,9 +414,6 @@ func (f *fleet) launchSpec(p *proc, join string) launchSpec {
 		epoch:    epoch,
 		logPath:  logPath(f.cfg.LogDir, p.name),
 		timeout:  30 * time.Second,
-	}
-	if f.cfg.Metrics {
-		spec.metrics = f.cfg.Host + ":0"
 	}
 	return spec
 }

@@ -60,7 +60,7 @@ type gatePlan struct {
 // newGatePlan projects the scenario timeline onto wall-clock instants:
 // event At steps fire at start + At*step.
 func newGatePlan(cfg Config, start time.Time) *gatePlan {
-	p := &gatePlan{guard: cfg.Guard, arcTopic: cfg.topics()[0]}
+	p := &gatePlan{guard: cfg.Guard, arcTopic: cfg.Topics[0]}
 	// Walk the dissemination events in the order the driver applies them
 	// (stable by At), tracking which loss and partition spans are open.
 	events := make([]scenario.Event, 0, len(cfg.Scenario.Events))

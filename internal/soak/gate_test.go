@@ -92,9 +92,9 @@ func TestGatePlanOpenEndedPartition(t *testing.T) {
 	}
 	start := time.Unix(2000, 0)
 	p := newGatePlan(cfg, start)
-	// Plain nodes use the pseudo-topic, which IS the arc topic, so the
+	// A one-topic fleet runs DefaultTopic, which IS the arc topic, so the
 	// partition windows never apply; only the fire guard does.
-	if !p.gate(plainTopic, start.Add(10*time.Second)) {
+	if !p.gate(DefaultTopic, start.Add(10*time.Second)) {
 		t.Error("arc topic gated by open partition")
 	}
 	// A hypothetical second topic stays ungated forever: the span never
@@ -118,7 +118,7 @@ func TestConfigValidation(t *testing.T) {
 	if cfg.Duration != DefaultDuration || cfg.PublishRate != DefaultPublishRate || cfg.Host != "127.0.0.1" {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if got := cfg.topics(); len(got) != 1 || got[0] != plainTopic {
-		t.Errorf("topics() = %v", got)
+	if got := cfg.Topics; len(got) != 1 || got[0] != DefaultTopic {
+		t.Errorf("Topics = %v, want [%s]", got, DefaultTopic)
 	}
 }

@@ -1,76 +1,75 @@
 package soak
 
-// The observability trail: when Config.Metrics is set, every node serves a
-// Prometheus-text /metrics endpoint and the harness scrapes node 0 once per
-// second during the publish phase. The scraped series land in the report,
-// so a mid-run re-tune (a set-param step halving the gossip interval, say)
-// is visible as a level shift in ringcast_config_gossip_interval_seconds
-// next to the counters it affects.
+// The counter side of the harness. Every node serves a Prometheus-text
+// /metrics endpoint, and it is the only place the harness reads counters:
+// the lag prober, the drain settle loop and the report's totals all scrape
+// it, and node 0 is additionally scraped once per second during the
+// publish phase. That trail lands in the report, so a mid-run re-tune (a
+// set-param step halving the gossip interval, say) is visible as a level
+// shift in ringcast_config_gossip_interval_seconds next to the counters it
+// affects.
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
+
+	"ringcast/internal/node"
+	"ringcast/internal/telemetry"
+	"ringcast/internal/transport"
 )
 
 // MetricSample is one /metrics scrape: a timestamp, the scraped node's name
-// and every ringcast_-prefixed series (keyed by name plus label signature).
+// and every series (keyed by name plus label signature).
 type MetricSample struct {
 	// T is the scrape instant in Unix milliseconds.
 	T int64 `json:"t"`
 	// Node names the scraped process.
 	Node string `json:"node"`
 	// Series maps "name{labels}" to the sampled value.
-	Series map[string]float64 `json:"series"`
+	Series telemetry.Series `json:"series"`
 }
 
-// scrapeMetrics fetches one node's /metrics endpoint and parses it.
-func scrapeMetrics(addr string, timeout time.Duration) (map[string]float64, error) {
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("soak: scrape %s: status %d", addr, resp.StatusCode)
-	}
-	return parseMetrics(string(body)), nil
+// deliveredFamily is the lag signal and the drain's settle signal: unique
+// messages handed to the application, summed over the node's topics.
+const deliveredFamily = "ringcast_node_delivered_total"
+
+// scrape reads p's /metrics endpoint once.
+func (p *proc) scrape(timeout time.Duration) (telemetry.Series, error) {
+	return telemetry.Scrape(p.metrics(), timeout)
 }
 
-// parseMetrics extracts every ringcast_-prefixed series from a Prometheus
-// text exposition. Unparseable lines are skipped — the scraper is a trail,
-// not a validator.
-func parseMetrics(text string) map[string]float64 {
-	out := make(map[string]float64)
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// fleetTotals rebuilds the protocol and base-transport counters from a
+// set of scrapes, summed over the scraped nodes and each node's topics.
+func fleetTotals(scrapes []telemetry.Series) (node.Stats, transport.Stats) {
+	sum := func(name string) float64 {
+		var total float64
+		for _, s := range scrapes {
+			total += s.Sum(name)
 		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		name := line[:i]
-		if !strings.HasPrefix(name, "ringcast_") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[name] = v
+		return total
 	}
-	return out
+	nd := func(name string) uint64 { return uint64(sum("ringcast_node_" + name + "_total")) }
+	tr := func(name string) int64 { return int64(sum("ringcast_transport_" + name)) }
+	ns := node.Stats{
+		Published:    nd("published"),
+		Delivered:    nd("delivered"),
+		Duplicates:   nd("duplicates"),
+		Forwarded:    nd("forwarded"),
+		SendErrors:   nd("send_errors"),
+		QueueFull:    nd("queue_full"),
+		Shuffles:     nd("shuffles"),
+		VicExchanges: nd("vic_exchanges"),
+	}
+	ts := transport.Stats{
+		FramesSent:   tr("frames_sent_total"),
+		BytesSent:    tr("bytes_sent_total"),
+		QueueDepth:   tr("queue_depth"),
+		Writers:      tr("writers"),
+		Drops:        tr("drops_total"),
+		Rejects:      tr("rejects_total"),
+		DialFailures: tr("dial_failures_total"),
+	}
+	return ns, ts
 }
 
 // metricsLoop scrapes node 0's /metrics once per second for the publish
@@ -89,11 +88,7 @@ func (f *fleet) metricsLoop(ctx context.Context) {
 		if st, _ := p.snapshot(); st != stateUp {
 			continue
 		}
-		addr := p.metrics()
-		if addr == "" {
-			continue
-		}
-		series, err := scrapeMetrics(addr, 2*time.Second)
+		series, err := p.scrape(2 * time.Second)
 		if err != nil {
 			continue
 		}

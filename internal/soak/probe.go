@@ -1,8 +1,9 @@
 package soak
 
-// The health prober and lag detector. One goroutine owns one control
-// client per process and polls its counter snapshot every ProbeInterval.
-// A process that is nominally up but whose delivery progress stalls for
+// The health prober and lag detector. One goroutine scrapes every
+// process's /metrics endpoint each ProbeInterval and reads its delivery
+// progress: ringcast_node_delivered_total summed over topics. A process
+// that is nominally up but whose delivery progress stalls for
 // LagWindow consecutive probes — while the fleet kept publishing — is
 // flagged as lagging: the live analogue of the paper's failed-but-not-
 // yet-evicted node, and the exact signature of a wedged consumer backing
@@ -16,15 +17,7 @@ import (
 // probeLoop polls every process until the phase context ends.
 func (f *fleet) probeLoop(ctx context.Context) {
 	n := len(f.procs)
-	clients := make([]*Client, n)
-	defer func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	lastDelivered := make([]int64, n)
+	lastDelivered := make([]float64, n)
 	for i := range lastDelivered {
 		lastDelivered[i] = -1 // no baseline yet
 	}
@@ -48,37 +41,27 @@ func (f *fleet) probeLoop(ctx context.Context) {
 			st, since := p.snapshot()
 			if st != stateUp || time.Since(since) < f.cfg.ProbeInterval {
 				// Down, restarting or too fresh: reset the baseline so a
-				// restarted process (whose ledger restarts from zero) is
+				// restarted process (whose counters restart from zero) is
 				// not misread as regressing.
 				lastDelivered[i], zeroRuns[i] = -1, 0
 				continue
 			}
-			if clients[i] == nil {
-				c, err := DialControl(p.control(), f.cfg.ProbeInterval)
-				if err != nil {
-					zeroRuns[i]++ // unreachable counts as zero progress
-					f.maybeFlagLag(i, zeroRuns[i], probe, pubHist, since)
-					continue
-				}
-				clients[i] = c
-			}
-			stats, err := clients[i].Stats()
+			series, err := p.scrape(f.cfg.ProbeInterval)
 			if err != nil {
-				clients[i].Close()
-				clients[i] = nil
-				zeroRuns[i]++
+				zeroRuns[i]++ // unreachable counts as zero progress
 				f.maybeFlagLag(i, zeroRuns[i], probe, pubHist, since)
 				continue
 			}
+			delivered := series.Sum(deliveredFamily)
 			switch {
 			case lastDelivered[i] < 0:
 				zeroRuns[i] = 0
-			case stats.Delivered > lastDelivered[i]:
+			case delivered > lastDelivered[i]:
 				zeroRuns[i] = 0
 			default:
 				zeroRuns[i]++
 			}
-			lastDelivered[i] = stats.Delivered
+			lastDelivered[i] = delivered
 			f.maybeFlagLag(i, zeroRuns[i], probe, pubHist, since)
 		}
 	}

@@ -58,15 +58,15 @@ func (s procState) String() string {
 type readyInfo struct {
 	addr    string
 	control string
-	metrics string // /metrics listen address; empty when not serving
+	metrics string // /metrics listen address
 	id      uint64
 	pid     int
 }
 
-// parseReady recognizes the "SOAK ready addr=... control=... id=... pid=..."
-// handshake ringcast-node prints once its control surface serves. A node
-// launched with -metrics appends "metrics=<addr>"; older nodes omit it, so
-// the field stays optional.
+// parseReady recognizes the "SOAK ready addr=... control=... id=... pid=...
+// metrics=..." handshake ringcast-node prints once its control surface
+// serves. The harness launches every node with -metrics and reads every
+// counter there, so a line without metrics= is not a ready line.
 func parseReady(line string) (readyInfo, bool) {
 	if !strings.HasPrefix(line, "SOAK ready ") {
 		return readyInfo{}, false
@@ -90,7 +90,7 @@ func parseReady(line string) (readyInfo, bool) {
 			ri.pid, _ = strconv.Atoi(v)
 		}
 	}
-	return ri, ri.addr != "" && ri.control != ""
+	return ri, ri.addr != "" && ri.control != "" && ri.metrics != ""
 }
 
 // proc is one supervised ringcast-node process.
@@ -145,7 +145,7 @@ func (p *proc) addr() string {
 	return p.listenAddr
 }
 
-// metrics returns the current /metrics address ("" when not serving).
+// metrics returns the current /metrics address.
 func (p *proc) metrics() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -195,7 +195,7 @@ type launchSpec struct {
 	bin      string
 	listen   string
 	control  string
-	metrics  string // /metrics listen address; empty = off
+	metrics  string // /metrics listen address
 	join     string
 	topics   []string
 	interval time.Duration
@@ -217,16 +217,11 @@ func (p *proc) launch(spec launchSpec, done <-chan struct{}) error {
 		"-interval", spec.interval.String(),
 		"-fanout", strconv.Itoa(spec.fanout),
 		"-seed", strconv.FormatInt(spec.seed, 10),
-		"-status", "0",
+		"-metrics", spec.metrics,
+		"-topics", strings.Join(spec.topics, ","),
 	}
 	if spec.epoch > 0 {
 		args = append(args, "-epoch", strconv.Itoa(spec.epoch))
-	}
-	if spec.metrics != "" {
-		args = append(args, "-metrics", spec.metrics)
-	}
-	if len(spec.topics) > 0 && !(len(spec.topics) == 1 && spec.topics[0] == plainTopic) {
-		args = append(args, "-topics", strings.Join(spec.topics, ","))
 	}
 	if spec.join != "" {
 		args = append(args, "-join", spec.join)

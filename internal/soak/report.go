@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ringcast/internal/node"
+	"ringcast/internal/telemetry"
 	"ringcast/internal/transport"
 	"ringcast/internal/wire"
 )
@@ -81,7 +82,7 @@ type Report struct {
 	Node      node.Stats      `json:"node"`
 
 	PerTopic map[string]TopicTotals `json:"per_topic"`
-	// MetricsSamples is the scraped /metrics trail (Config.Metrics only).
+	// MetricsSamples is node 0's /metrics trail, one scrape per second.
 	MetricsSamples []MetricSample `json:"metrics_samples,omitempty"`
 	Notes          []string       `json:"notes,omitempty"`
 }
@@ -240,33 +241,16 @@ func (f *fleet) buildReport(ledgers map[int]map[string]map[wire.MsgID]int64, ela
 	sort.Strings(rep.CrashLoops)
 
 	// Counter totals from whatever part of the fleet still answers.
+	var scrapes []telemetry.Series
 	for _, p := range f.procs {
 		if st, _ := p.snapshot(); st != stateUp {
 			continue
 		}
-		c, err := DialControl(p.control(), 2*time.Second)
-		if err != nil {
-			continue
+		if series, err := p.scrape(2 * time.Second); err == nil {
+			scrapes = append(scrapes, series)
 		}
-		if stats, err := c.Stats(); err == nil {
-			rep.Transport.FramesSent += stats.Transport.FramesSent
-			rep.Transport.BytesSent += stats.Transport.BytesSent
-			rep.Transport.QueueDepth += stats.Transport.QueueDepth
-			rep.Transport.Writers += stats.Transport.Writers
-			rep.Transport.Drops += stats.Transport.Drops
-			rep.Transport.Rejects += stats.Transport.Rejects
-			rep.Transport.DialFailures += stats.Transport.DialFailures
-			rep.Node.Published += stats.Node.Published
-			rep.Node.Delivered += stats.Node.Delivered
-			rep.Node.Duplicates += stats.Node.Duplicates
-			rep.Node.Forwarded += stats.Node.Forwarded
-			rep.Node.SendErrors += stats.Node.SendErrors
-			rep.Node.QueueFull += stats.Node.QueueFull
-			rep.Node.Shuffles += stats.Node.Shuffles
-			rep.Node.VicExchanges += stats.Node.VicExchanges
-		}
-		c.Close()
 	}
+	rep.Node, rep.Transport = fleetTotals(scrapes)
 	return rep
 }
 

@@ -64,9 +64,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	phase, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var pg sync.WaitGroup
-	pg.Add(2)
+	pg.Add(3)
 	go func() { defer pg.Done(); f.probeLoop(phase) }()
 	go func() { defer pg.Done(); f.publishLoop(phase) }()
+	go func() { defer pg.Done(); f.metricsLoop(phase) }()
 	if drv != nil {
 		pg.Add(1)
 		go func() { defer pg.Done(); f.driveLoop(phase, drv) }()
@@ -74,10 +75,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.WedgeAfter > 0 {
 		pg.Add(1)
 		go func() { defer pg.Done(); f.wedgeLoop(phase) }()
-	}
-	if cfg.Metrics {
-		pg.Add(1)
-		go func() { defer pg.Done(); f.metricsLoop(phase) }()
 	}
 
 	phaseTimer := time.NewTimer(cfg.Duration)
@@ -372,22 +369,17 @@ func (f *fleet) drain(ctx context.Context) {
 	}
 
 	deadline := time.Now().Add(f.cfg.DrainTimeout)
-	var lastSum int64 = -1
+	lastSum := -1.0
 	stableSince := time.Now()
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		var sum int64
+		var sum float64
 		for _, p := range f.procs {
 			if st, _ := p.snapshot(); st != stateUp {
 				continue
 			}
-			c, err := DialControl(p.control(), 2*time.Second)
-			if err != nil {
-				continue
+			if series, err := p.scrape(2 * time.Second); err == nil {
+				sum += series.Sum(deliveredFamily)
 			}
-			if stats, err := c.Stats(); err == nil {
-				sum += stats.Delivered
-			}
-			c.Close()
 		}
 		if sum != lastSum {
 			lastSum = sum

@@ -25,6 +25,9 @@ import (
 // Defaults for Config fields left zero. Exported so the CLI and tests can
 // print and reason about the effective values.
 const (
+	// DefaultTopic is the one topic a fleet runs when Config.Topics is
+	// empty.
+	DefaultTopic = "default"
 	// DefaultGossipInterval is the per-node gossip cycle handed to
 	// ringcast-node via -interval.
 	DefaultGossipInterval = 100 * time.Millisecond
@@ -58,7 +61,7 @@ type Config struct {
 	// N is the fleet size (number of ringcast-node processes).
 	N int
 	// Topics lists the pub/sub topics every node subscribes to. Empty means
-	// plain single-overlay nodes (the pseudo-topic "-").
+	// the one topic DefaultTopic.
 	Topics []string
 	// Scenario is the fault timeline; its step counter advances once per
 	// StepInterval. A zero-value scenario runs fault-free.
@@ -102,12 +105,6 @@ type Config struct {
 	// unwedges it WedgeFor later — the lag detector must flag it.
 	WedgeAfter time.Duration
 	WedgeFor   time.Duration
-
-	// Metrics, when true, launches every node with a /metrics endpoint
-	// (Prometheus text format) on an ephemeral port and has the harness
-	// scrape node 0 once per second, recording the samples in the report —
-	// the observability trail that makes a mid-run re-tune visible.
-	Metrics bool
 }
 
 // withDefaults fills zero fields and validates the result.
@@ -166,19 +163,10 @@ func (c Config) withDefaults() (Config, error) {
 	// The first topic in sorted order anchors the ring IDs the scenario
 	// resolves arcs over (ringcast-node sorts its -topics the same way),
 	// so pin the order here once.
+	if len(c.Topics) == 0 {
+		c.Topics = []string{DefaultTopic}
+	}
 	c.Topics = append([]string(nil), c.Topics...)
 	sort.Strings(c.Topics)
 	return c, nil
 }
-
-// topics returns the effective topic list: the configured topics, or the
-// plain-node pseudo-topic.
-func (c Config) topics() []string {
-	if len(c.Topics) == 0 {
-		return []string{plainTopic}
-	}
-	return c.Topics
-}
-
-// plainTopic is the pseudo-topic name a plain (non-pubsub) node reports.
-const plainTopic = "-"

@@ -154,6 +154,15 @@ func TestSoakPartitionHeal(t *testing.T) {
 	if rep.MsgsPerSec <= 0 {
 		t.Error("msgs/sec not measured")
 	}
+	// Counter totals come from /metrics scrapes: a renamed series would
+	// read as zero here rather than fail a scrape.
+	if rep.Node.Delivered == 0 || rep.Node.Forwarded == 0 || rep.Node.Shuffles == 0 ||
+		rep.Node.VicExchanges == 0 || rep.Transport.FramesSent == 0 || rep.Transport.BytesSent == 0 {
+		t.Errorf("report counter totals not scraped: node %+v transport %+v", rep.Node, rep.Transport)
+	}
+	if len(rep.MetricsSamples) == 0 {
+		t.Error("no /metrics trail recorded")
+	}
 }
 
 // waitProc polls p until cond holds or the deadline passes.
@@ -217,14 +226,18 @@ func TestSupervisorRestartsCrashedNode(t *testing.T) {
 	if newCtl != oldCtl {
 		t.Errorf("control address changed across restart: %s -> %s", oldCtl, newCtl)
 	}
-	// The restarted node answers on the control surface.
+	// The restarted node answers on the control surface and on /metrics
+	// (whose port is ephemeral, re-read from the new ready line).
 	c, err := DialControl(newCtl, 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial restarted node: %v", err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Errorf("ping restarted node: %v", err)
+	if _, err := c.Status(); err != nil {
+		t.Errorf("status from restarted node: %v", err)
+	}
+	if _, err := victim.scrape(5 * time.Second); err != nil {
+		t.Errorf("scrape restarted node: %v", err)
 	}
 }
 
@@ -237,7 +250,7 @@ func TestSupervisorDetectsCrashLoop(t *testing.T) {
 	// instead of restarting it until the heat death of CI.
 	dir := t.TempDir()
 	script := filepath.Join(dir, "crashy")
-	body := "#!/bin/sh\necho \"SOAK ready addr=127.0.0.1:9 control=127.0.0.1:9 id=1 pid=$$\"\nsleep 0.05\nexit 1\n"
+	body := "#!/bin/sh\necho \"SOAK ready addr=127.0.0.1:9 control=127.0.0.1:9 id=1 pid=$$ metrics=127.0.0.1:9\"\nsleep 0.05\nexit 1\n"
 	if err := os.WriteFile(script, []byte(body), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +332,7 @@ func TestRestartRepublishGatesWithFreshEpoch(t *testing.T) {
 			return PubAck{}, err
 		}
 		defer c.Close()
-		return c.Publish(plainTopic, "before crash")
+		return c.Publish(DefaultTopic, "before crash")
 	}()
 	if err != nil {
 		t.Fatalf("pre-crash publish: %v", err)
@@ -343,7 +356,7 @@ func TestRestartRepublishGatesWithFreshEpoch(t *testing.T) {
 		t.Fatalf("dial restarted node: %v", err)
 	}
 	defer c.Close()
-	post, err := c.Publish(plainTopic, "after crash")
+	post, err := c.Publish(DefaultTopic, "after crash")
 	if err != nil {
 		t.Fatalf("post-crash publish: %v", err)
 	}
@@ -369,7 +382,7 @@ func TestRestartRepublishGatesWithFreshEpoch(t *testing.T) {
 				return false
 			}
 			defer sc.Close()
-			entries, err := sc.Ledger(plainTopic)
+			entries, err := sc.Ledger(DefaultTopic)
 			if err != nil {
 				return false
 			}

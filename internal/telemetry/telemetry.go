@@ -3,15 +3,19 @@
 // text-format /metrics HTTP endpoint, the observability half of the
 // hot-reconfiguration engine: re-tuning the paper's parameters (fanout F,
 // the gossip period T of Section 6) is only useful when the effect is
-// visible in scraped series. Rendering is deterministic for a fixed set of
-// samples: families sort by name and series by their label signature, so
-// two scrapes of identical state are byte-identical. The package itself
-// samples no randomness; timestamps are the scraper's business.
+// visible in scraped series. It is also the one reader of that format:
+// Scrape and Parse turn an exposition back into series, so every tool that
+// reads a node's counters reads them the same way. Rendering is
+// deterministic for a fixed set of samples: families sort by name and
+// series by their label signature, so two scrapes of identical state are
+// byte-identical. The package itself samples no randomness; timestamps are
+// the scraper's business.
 package telemetry
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -213,4 +217,67 @@ func (s *Server) Close() error {
 		}
 	})
 	return err
+}
+
+// Series is one parsed exposition: every sample keyed by its family name
+// plus label signature, exactly as rendered — `ringcast_epoch` or
+// `ringcast_node_delivered_total{topic="alpha"}`.
+type Series map[string]float64
+
+// Sum adds every sample of family name, labeled or not: the node-wide
+// total of a per-topic counter. Samples are added in key order, so the sum
+// does not depend on map iteration order.
+func (s Series) Sum(name string) float64 {
+	var keys []string
+	for key := range s {
+		if key == name || strings.HasPrefix(key, name+"{") {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, key := range keys {
+		sum += s[key]
+	}
+	return sum
+}
+
+// Parse reads a text exposition as Render writes it. Comment, blank and
+// unparseable lines are skipped: a reader of live counters keeps what it
+// can read rather than failing a whole scrape on one odd line.
+func Parse(text string) Series {
+	out := make(Series)
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
+
+// Scrape fetches http://addr/metrics once and parses it. timeout bounds
+// the whole request.
+func Scrape(addr string, timeout time.Duration) (Series, error) {
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("telemetry: scrape %s: status %d", addr, resp.StatusCode)
+	}
+	return Parse(string(body)), nil
 }

@@ -2,11 +2,11 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRenderSortedAndEscaped(t *testing.T) {
@@ -71,32 +71,71 @@ func TestServeAndScrape(t *testing.T) {
 	}
 	defer srv.Close()
 
-	scrape := func() string {
+	scrape := func() Series {
 		resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
+		resp.Body.Close()
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 			t.Fatalf("content type = %q", ct)
 		}
-		body, err := io.ReadAll(resp.Body)
+		s, err := Scrape(srv.Addr(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(body)
+		return s
 	}
-	if out := scrape(); !strings.Contains(out, "ringcast_node_published_total 0\n") {
-		t.Fatalf("scrape missing series:\n%s", out)
+	if s := scrape(); s["ringcast_node_published_total"] != 0 || len(s) != 1 {
+		t.Fatalf("scrape = %v, want the one series at 0", s)
 	}
 	mu.Lock()
 	published = 7
 	mu.Unlock()
-	if out := scrape(); !strings.Contains(out, "ringcast_node_published_total 7\n") {
-		t.Fatalf("scrape did not reflect live state:\n%s", out)
+	if s := scrape(); s["ringcast_node_published_total"] != 7 {
+		t.Fatalf("scrape did not reflect live state: %v", s)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	srv.Close() // idempotent
+}
+
+// TestParseRoundTrip pins Parse as Render's inverse: every rendered sample
+// comes back under its name plus label signature with its exact value, and
+// comments, blank and malformed lines are skipped.
+func TestParseRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Describe("ringcast_node_delivered_total", Counter, "deliveries")
+	r.Collect(func() []Sample {
+		return []Sample{
+			{Name: "ringcast_node_delivered_total", Labels: map[string]string{"topic": "alpha"}, Value: 12},
+			{Name: "ringcast_node_delivered_total", Labels: map[string]string{"topic": `a "b"`}, Value: 3},
+			{Name: "ringcast_config_gossip_interval_seconds", Value: 0.05},
+			{Name: "ringcast_config_send_queue_cap", Value: 1 << 20},
+			{Name: "ringcast_transport_bytes_sent_total", Value: 1<<53 - 1},
+		}
+	})
+	got := Parse(r.Render() + "\nmalformed\nname notanumber\n")
+	want := Series{
+		`ringcast_node_delivered_total{topic="alpha"}`:   12,
+		`ringcast_node_delivered_total{topic="a \"b\""}`: 3,
+		"ringcast_config_gossip_interval_seconds":        0.05,
+		"ringcast_config_send_queue_cap":                 1 << 20,
+		"ringcast_transport_bytes_sent_total":            1<<53 - 1,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d series, want %d: %v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %v, want %v", k, got[k], v)
+		}
+	}
+	if sum := got.Sum("ringcast_node_delivered_total"); sum != 15 {
+		t.Errorf("Sum over topics = %v, want 15", sum)
+	}
+	if sum := got.Sum("ringcast_node_delivered"); sum != 0 {
+		t.Errorf("Sum matched a name prefix: %v", sum)
+	}
 }

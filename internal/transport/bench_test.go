@@ -77,26 +77,3 @@ func BenchmarkTCPSend(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(src.Stats().Drops), "drops")
 }
-
-// BenchmarkUDPSend measures datagram sends over loopback.
-func BenchmarkUDPSend(b *testing.B) {
-	src, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dst.Close()
-	dst.SetHandler(func(string, *wire.Frame) {})
-	f := benchFrame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(dst.Addr(), f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

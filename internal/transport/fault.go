@@ -4,25 +4,25 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ringcast/internal/wire"
 )
 
 // FaultInjector wraps a Transport with scenario-driven fault injection
-// between real nodes: pairwise partitions (black-holed destinations),
-// per-copy message loss, and added delivery delay. It is the live runtime's
-// injection surface of the scenario engine — the counterpart of the
-// simulators' FaultModel hooks.
+// between real nodes: pairwise partitions (black-holed destinations) and
+// per-copy message loss. It is the live runtime's injection surface of the
+// scenario engine — the counterpart of the simulators' FaultModel hooks —
+// and the one fault path of the in-memory fabric too.
 //
 // Faults are injected on the outbound path, before the inner transport sees
-// the frame, so they compose with any base transport (TCP, UDP, in-memory,
-// mux topics). A blocked or lost frame is swallowed silently — like a
+// the frame, so they compose with any base transport (TCP, in-memory, mux
+// topics). A blocked or lost frame is swallowed silently — like a
 // black-holed route or a congested switch, not like a connection refusal —
 // and counted as an injected drop: Stats() reports the inner transport's
-// counters with Drops increased by the injected count, so the PR 3 stats
+// counters with Drops increased by the injected count, so the stats
 // plumbing (node.TransportStats, pubsub.Peer.TransportStats, the
-// ringcast-node status line) surfaces injected faults with no extra wiring.
+// ringcast_transport_drops_total series) surfaces injected faults with no
+// extra wiring.
 //
 // Loss draws come from the injector's own seeded rng, so a live experiment
 // is reproducible for a given seed and frame order. All methods are safe
@@ -33,7 +33,6 @@ type FaultInjector struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	loss    float64
-	delay   time.Duration
 	blocked map[string]struct{}
 
 	injected atomic.Int64
@@ -59,15 +58,6 @@ func (fi *FaultInjector) SetLoss(rate float64) {
 	fi.mu.Unlock()
 }
 
-// SetDelay adds a fixed delay before frames are handed to the inner
-// transport (0 disables). Delayed frames are re-ordered relative to
-// non-delayed ones, as on a real degraded path.
-func (fi *FaultInjector) SetDelay(d time.Duration) {
-	fi.mu.Lock()
-	fi.delay = d
-	fi.mu.Unlock()
-}
-
 // Block partitions this endpoint from the given destination addresses:
 // frames to them are black-holed (and counted as injected drops) until
 // Unblock or HealAll.
@@ -88,7 +78,7 @@ func (fi *FaultInjector) Unblock(addrs ...string) {
 	fi.mu.Unlock()
 }
 
-// HealAll removes every active partition (loss and delay are unaffected).
+// HealAll removes every active partition (loss is unaffected).
 func (fi *FaultInjector) HealAll() {
 	fi.mu.Lock()
 	fi.blocked = make(map[string]struct{})
@@ -106,7 +96,7 @@ func (fi *FaultInjector) Addr() string { return fi.inner.Addr() }
 // injection (faults are modelled on the sender side, once per link).
 func (fi *FaultInjector) SetHandler(h Handler) { fi.inner.SetHandler(h) }
 
-// Send implements Transport, applying partition, loss and delay before
+// Send implements Transport, applying partition and loss before
 // delegating to the inner transport.
 func (fi *FaultInjector) Send(to string, f *wire.Frame) error {
 	if fi.closed.Load() {
@@ -115,22 +105,9 @@ func (fi *FaultInjector) Send(to string, f *wire.Frame) error {
 	fi.mu.Lock()
 	_, blocked := fi.blocked[to]
 	lost := !blocked && fi.loss > 0 && fi.rng.Float64() < fi.loss
-	delay := fi.delay
 	fi.mu.Unlock()
 	if blocked || lost {
 		fi.injected.Add(1)
-		return nil
-	}
-	if delay > 0 {
-		time.AfterFunc(delay, func() {
-			if fi.closed.Load() {
-				fi.injected.Add(1)
-				return
-			}
-			// Best effort: the sender already returned, so a late failure is
-			// swallowed like in-flight loss on a real degraded path.
-			fi.inner.Send(to, f)
-		})
 		return nil
 	}
 	return fi.inner.Send(to, f)
@@ -144,9 +121,7 @@ func (fi *FaultInjector) Stats() Stats {
 	return s
 }
 
-// Close implements Transport: closes the inner transport. Frames still
-// held by a pending delay are discarded (counted as injected drops) when
-// their timers fire.
+// Close implements Transport: closes the inner transport.
 func (fi *FaultInjector) Close() error {
 	fi.closed.Store(true)
 	return fi.inner.Close()

@@ -120,23 +120,6 @@ func TestFaultInjectorHealAll(t *testing.T) {
 	}
 }
 
-func TestFaultInjectorDelay(t *testing.T) {
-	fa, fb, _ := faultPair(t)
-	defer fa.Close()
-	defer fb.Close()
-	var gotAt atomic.Int64
-	fb.SetHandler(func(remote string, f *wire.Frame) { gotAt.Store(time.Now().UnixNano()) })
-	fa.SetDelay(50 * time.Millisecond)
-	start := time.Now()
-	if err := fa.Send("b", testFrame("a")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return gotAt.Load() != 0 })
-	if elapsed := time.Duration(gotAt.Load() - start.UnixNano()); elapsed < 40*time.Millisecond {
-		t.Errorf("delayed frame arrived after %v, want >= ~50ms", elapsed)
-	}
-}
-
 func TestFaultInjectorClosed(t *testing.T) {
 	fa, fb, _ := faultPair(t)
 	defer fb.Close()

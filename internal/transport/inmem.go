@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -12,53 +11,16 @@ import (
 // InMemNetwork is a process-local fabric of endpoints, used by tests,
 // examples and single-process clusters. Frames are marshalled and
 // unmarshalled on every send, so the in-memory path exercises the same codec
-// as TCP. The network supports fault injection: message loss, pairwise
-// partitions, and endpoint crashes.
+// as TCP. The fabric itself is fault-free: wrap an endpoint with WrapFaults
+// for silent loss and partitions, and Close it to crash it.
 type InMemNetwork struct {
 	mu        sync.RWMutex
 	endpoints map[string]*InMemEndpoint
-	loss      float64
-	rng       *rand.Rand
-	parts     map[[2]string]bool
 }
 
 // NewInMemNetwork returns an empty fabric.
 func NewInMemNetwork() *InMemNetwork {
-	return &InMemNetwork{
-		endpoints: make(map[string]*InMemEndpoint),
-		rng:       rand.New(rand.NewSource(1)),
-		parts:     make(map[[2]string]bool),
-	}
-}
-
-// SetLoss makes every delivery fail independently with the given
-// probability, deterministic under seed.
-func (n *InMemNetwork) SetLoss(rate float64, seed int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.loss = rate
-	n.rng = rand.New(rand.NewSource(seed))
-}
-
-// Partition severs connectivity between a and b in both directions.
-func (n *InMemNetwork) Partition(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.parts[pairKey(a, b)] = true
-}
-
-// Heal restores connectivity between a and b.
-func (n *InMemNetwork) Heal(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.parts, pairKey(a, b))
-}
-
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
+	return &InMemNetwork{endpoints: make(map[string]*InMemEndpoint)}
 }
 
 // inboxSize bounds queued frames per endpoint. When an inbox is full the
@@ -89,35 +51,15 @@ func (n *InMemNetwork) Endpoint(addr string) (*InMemEndpoint, error) {
 	return ep, nil
 }
 
-// lookup returns the live endpoint at addr, honouring loss and partitions.
-func (n *InMemNetwork) lookup(from, to string) (*InMemEndpoint, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.parts[pairKey(from, to)] {
-		return nil, fmt.Errorf("%w: %s is partitioned from %s", ErrUnreachable, to, from)
-	}
-	if n.loss > 0 && n.rng.Float64() < n.loss {
-		return nil, fmt.Errorf("%w: %s (injected loss)", ErrUnreachable, to)
-	}
+// lookup returns the live endpoint at addr.
+func (n *InMemNetwork) lookup(to string) (*InMemEndpoint, error) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	ep, ok := n.endpoints[to]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, to)
 	}
 	return ep, nil
-}
-
-// Crash abruptly removes the endpoint at addr, simulating a node failure:
-// subsequent sends to it fail, and its pending inbox is discarded.
-func (n *InMemNetwork) Crash(addr string) {
-	n.mu.Lock()
-	ep, ok := n.endpoints[addr]
-	if ok {
-		delete(n.endpoints, addr)
-	}
-	n.mu.Unlock()
-	if ok {
-		ep.stop()
-	}
 }
 
 type inboundFrame struct {
@@ -174,7 +116,7 @@ func (e *InMemEndpoint) Send(to string, f *wire.Frame) error {
 	if err != nil {
 		return fmt.Errorf("transport: codec round trip failed: %w", err)
 	}
-	dst, err := e.net.lookup(e.addr, to)
+	dst, err := e.net.lookup(to)
 	if err != nil {
 		return err
 	}

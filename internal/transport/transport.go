@@ -1,18 +1,16 @@
 // Package transport abstracts how live nodes exchange wire frames — the
 // socket layer under the paper's deployment story (Section 8's topic-based
 // middleware, one overlay per topic). Implementations: an in-memory fabric
-// for tests, examples and single-process clusters, TCP and UDP endpoints
-// for real deployments, a topic Mux that layers pub/sub routing on top of
-// any base transport, and a FaultInjector wrapper that black-holes,
-// degrades or delays links under control of the scenario engine
-// (internal/scenario).
+// for tests, examples and single-process clusters, a TCP endpoint for real
+// deployments, a topic Mux that layers pub/sub routing on top of any base
+// transport, and a FaultInjector wrapper that black-holes or degrades links
+// under control of the scenario engine (internal/scenario).
 //
 // Determinism contract: live transports are inherently asynchronous —
 // frame interleaving depends on goroutine and kernel scheduling, unlike the
 // simulators — but every injected fault is reproducible: the FaultInjector
-// draws loss from its own seeded stream, and the InMemNetwork's injected
-// loss is seeded the same way. Counters (Stats) are monotonic and safe to
-// read concurrently.
+// draws loss from its own seeded stream. Counters (Stats) are monotonic and
+// safe to read concurrently.
 package transport
 
 import (
@@ -37,8 +35,8 @@ type Transport interface {
 	SetHandler(h Handler)
 	// Send hands one frame to the transport for delivery to the endpoint at
 	// addr. Send must not block on a slow destination: implementations either
-	// queue the frame (TCP), hand it to the kernel (UDP), or drop under
-	// overload. An error means the frame was NOT accepted — unreachable
+	// queue the frame (TCP), hand it to a bounded inbox (in-memory), or drop
+	// under overload. An error means the frame was NOT accepted — unreachable
 	// destinations (evidence of peer death for gossip protocols), a closed
 	// endpoint, or local backpressure (ErrQueueFull, which signals congestion
 	// rather than peer death).
